@@ -523,6 +523,11 @@ def _cmd_verify_hard_prefix(args) -> int:
     if args.q < 0:
         raise ValueError(f"--q must be nonnegative, got {args.q}")
     n = construct_hard_prefix(d, args.q)
+    cap = _resolve_cap(None, DEFAULT_PROFILE_CAP)
+    if n > cap:
+        raise CapExceededError(
+            f"hard-prefix length is capped at {cap}, got {n}"
+        )
     measured = pal_length(characteristic_prefix(d, n))
     passed = measured > args.q
     rows = [(n, measured, args.q, "ok" if passed else "FAIL")]

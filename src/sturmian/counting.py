@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CapExceededError
@@ -151,6 +150,8 @@ def balanced_count(n: int, cap: int = DEFAULT_BALANCED_CAP, workers: int = 1) ->
         )
     if workers <= 1 or n <= 3:
         return _balanced_chunk(n, ())
+    from concurrent.futures import ProcessPoolExecutor
+
     prefixes = list(itertools.product((0, 1), repeat=3))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(functools.partial(_balanced_chunk, n), prefixes))

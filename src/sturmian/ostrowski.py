@@ -195,15 +195,75 @@ def is_valid(rep: OstrowskiRep) -> bool:
     return w.raw == characteristic_prefix(rep.d, len(w)).raw
 
 
+class _ValidDigitDag:
+    """The valid digit vectors of every N <= n, as paths in one DAG.
+
+    While digits are placed most significant first, the copies already
+    placed cover the first pos symbols of the characteristic prefix, so
+    a partial vector is just a node (level i, position pos), the same
+    for every N.  An edge takes k >= 0 consecutive copies of s_i, each
+    matching the prefix where it lands, from (i, pos) to
+    (i - 1, pos + k * q_i); the paths from (top, 0) that leave level 0
+    at position N are the valid vectors of N.  runs[i][pos] is the most
+    copies of s_i that fit at pos, so the edges out of (i, pos) are
+    k = 0..runs[i][pos].
+    """
+
+    def __init__(self, d: DirectiveSequence, n: int):
+        qs = [1, 1]
+        i = 0
+        while True:
+            try:
+                nxt = d.digit(i) * qs[-1] + qs[-2]
+            except IndexError:
+                break
+            if nxt > n:
+                break
+            qs.append(nxt)
+            i += 1
+        self.n = n
+        self.qs = qs[1:]
+        prefix = characteristic_prefix(d, n).raw
+        self.runs = []
+        for q, w in zip(self.qs, standard_words(d, len(self.qs) - 1)[1:]):
+            run = [0] * (n + 1)
+            for p in range(n - q, -1, -1):
+                if prefix.startswith(w.raw, p):
+                    run[p] = run[p + q] + 1
+            self.runs.append(run)
+
+    def forward(self) -> list[set[int]]:
+        """For each level, the positions its nodes are reached at from
+        the root."""
+        reach = [{0}]
+        # from the top level down to level 1, each feeding the one below
+        for q, run in zip(self.qs[:0:-1], self.runs[:0:-1]):
+            here = reach[-1]
+            reach.append({p + k * q for p in here for k in range(run[p] + 1)})
+        return reach[::-1]
+
+    def below(self, targets: int):
+        """Yield, for each level from 0 up, the end bitsets of the
+        level under it: entry pos has bit N set iff bit N of targets is
+        set and some path from (i - 1, pos) leaves level 0 at N."""
+        ends = [(1 << p) & targets for p in range(self.n + 1)]
+        for q, run in zip(self.qs, self.runs):
+            yield ends
+            ends = ends[:]
+            # k >= 1 copies at pos are one copy, then k - 1 from pos + q.
+            for p in range(self.n - q, -1, -1):
+                if run[p]:
+                    ends[p] |= ends[p + q]
+
+
 def enumerate_valid_reps(
     N: int, d: DirectiveSequence, cap: int = DEFAULT_ENUM_CAP
 ) -> set[OstrowskiRep]:
     """All valid digit vectors of N.
 
-    Digits are chosen most significant first; each copy of s_i is
-    matched against the characteristic prefix as it is placed, and the
-    first mismatching copy prunes every larger digit choice at that
-    position (copies are consecutive, so they fail together).
+    Walks the paths of the valid-digit DAG up to N that end at N
+    (see _ValidDigitDag): an edge is taken only when the end bitset of
+    its target node holds N, so no dead branch is visited.
     """
     if N < 0:
         raise ValueError("only nonnegative integers are representable")
@@ -211,43 +271,24 @@ def enumerate_valid_reps(
         raise CapExceededError(
             f"valid-representation enumeration is capped at {cap}, got {N}"
         )
-    if N == 0:
-        return {OstrowskiRep(d, ())}
-    prefix = characteristic_prefix(d, N).raw
-    qs = [1, 1]
-    i = 0
-    while True:
-        try:
-            nxt = d.digit(i) * qs[-1] + qs[-2]
-        except IndexError:
-            break
-        if nxt > N:
-            break
-        qs.append(nxt)
-        i += 1
-    top = len(qs) - 2
-    raws = [w.raw for w in standard_words(d, top)]
+    dag = _ValidDigitDag(d, N)
+    ok = list(dag.below(1 << N))
     out: set[OstrowskiRep] = set()
 
-    def descend(idx: int, pos: int, rem: int, acc: list[int]) -> None:
-        if idx < 0:
-            if rem == 0:
-                out.add(OstrowskiRep(d, tuple(reversed(acc))))
+    def descend(i: int, pos: int, acc: list[int]) -> None:
+        if i < 0:
+            out.add(OstrowskiRep(d, tuple(reversed(acc))))
             return
-        q = qs[idx + 1]
-        s = raws[idx + 1]
+        q, run, alive = dag.qs[i], dag.runs[i], ok[i]
         acc.append(0)
-        descend(idx - 1, pos, rem, acc)
-        p = pos
-        for k in range(1, rem // q + 1):
-            if prefix[p : p + q] != s:
-                break
-            p += q
-            acc[-1] = k
-            descend(idx - 1, p, rem - k * q, acc)
+        for k in range(run[pos] + 1):
+            p = pos + k * q
+            if alive[p]:
+                acc[-1] = k
+                descend(i - 1, p, acc)
         acc.pop()
 
-    descend(top, 0, N, [])
+    descend(len(dag.qs) - 1, 0, [])
     return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError, TheoremViolationError
 from .ostrowski import (
     DEFAULT_ENUM_CAP,
+    _ValidDigitDag,
     OstrowskiRep,
     decode,
     encode,
@@ -445,31 +446,61 @@ def zd_max_gap(
     d: DirectiveSequence, nmax: int, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, ZdGapWitness | None]:
     """Maximum over N <= nmax, over pairs of valid vectors of N and
-    digit positions, of the z-distance gap |z_i(r1) - z_i(r2)|."""
+    digit positions, of the z-distance gap |z_i(r1) - z_i(r2)|.
+
+    One pass over the valid-digit DAG up to nmax serves every N: at
+    digit i, the end bitsets of the edges with z_i = v, taken from the
+    nodes the root reaches, OR into a mask whose set bits are the N
+    with a valid vector having z_i = v.  The gap is the largest
+    v2 - v1 whose masks meet, and only the smallest N where it occurs
+    is enumerated, for the witness: the first pair of its vectors in
+    rep_sort_key order, at the first digit, that shows the gap.
+    """
     if nmax < 0:
         raise ValueError("the search bound must be nonnegative")
     if nmax > cap:
         raise CapExceededError(
             f"z-distance search is capped at {cap}, got {nmax}"
         )
-    best = 0
-    witness = None
-    for n in range(nmax + 1):
-        reps = sorted(enumerate_valid_reps(n, d, cap=cap), key=rep_sort_key)
-        zs = [z_vector(r) for r in reps]
-        for a in range(len(reps)):
-            za = zs[a]
-            for b in range(a + 1, len(reps)):
-                zb = zs[b]
-                width = max(len(za), len(zb))
-                for i in range(width):
-                    va = za[i] if i < len(za) else 0
-                    vb = zb[i] if i < len(zb) else 0
-                    gap = abs(va - vb)
-                    if gap > best:
-                        best = gap
-                        witness = ZdGapWitness(n, i, reps[a], reps[b])
-    return best, witness
+    # z_i needs d_i, and the first N with a vector using the digit past
+    # a finite directive is that digit's q.
+    if d.is_finite:
+        last = len(d.explicit)
+        if standard_lengths(d, last)[-1] <= nmax:
+            raise ValueError(
+                f"digit {last} has no directive bound to measure against"
+            )
+    dag = _ValidDigitDag(d, nmax)
+    reach = dag.forward()
+    best, first = 0, None
+    for i, ends in enumerate(dag.below(-1)):  # -1 keeps every N
+        di, q, run = d.digit(i), dag.qs[i], dag.runs[i]
+        masks: dict[int, int] = {}
+        for pos in reach[i]:
+            for k in range(run[pos] + 1):
+                v = min(k, abs(di - k))
+                masks[v] = masks.get(v, 0) | ends[pos + k * q]
+        values = sorted(masks)
+        for a, v1 in enumerate(values):
+            for v2 in values[a + 1 :]:
+                both = masks[v1] & masks[v2]
+                if both and v2 - v1 >= best:
+                    n = (both & -both).bit_length() - 1
+                    if v2 - v1 > best or n < first:
+                        best, first = v2 - v1, n
+    if best == 0:
+        return 0, None
+    reps = sorted(enumerate_valid_reps(first, d, cap=cap), key=rep_sort_key)
+    zs = [z_vector(r) for r in reps]
+    for a, za in enumerate(zs):
+        for b in range(a + 1, len(reps)):
+            zb = zs[b]
+            for i in range(max(len(za), len(zb))):
+                va = za[i] if i < len(za) else 0
+                vb = zb[i] if i < len(zb) else 0
+                if abs(va - vb) == best:
+                    return best, ZdGapWitness(first, i, reps[a], reps[b])
+    raise AssertionError("the gap's smallest N has no pair showing it")
 
 
 def pal_length(u: BinaryWord) -> int:

@@ -2,15 +2,23 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
+import sturmian
+
 BASE = [sys.executable, "-m", "sturmian"]
+# the child runs the package the tests import, installed or not
+SRC = str(pathlib.Path(sturmian.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
     env.pop("STURM_CAP", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -129,6 +137,12 @@ class TestVerify:
         assert lines[0] == "gap,bound,n,digit_index,rep_a,rep_b,status"
         assert lines[-1] == "pass"
 
+    def test_zd_default_cap(self):
+        r = run_cli("verify", "zd", "--d", "fib", "--nmax", "5000")
+        assert r.returncode == 0
+        gap, bound, n = r.stdout.splitlines()[0].split("\t")[:3]
+        assert (gap, n) == ("2", "14")
+
     def test_rotation_formula_small_lengths_fail(self):
         r = run_cli(
             "verify", "rotation-formula", "--sigma", "sqrt(7)/7",
@@ -168,6 +182,13 @@ class TestVerify:
         assert r.returncode == 0
         first = r.stdout.splitlines()[0].split("\t")
         assert first[0] == "40"
+
+    def test_hard_prefix_cap(self):
+        # a prefix of about 2.7e19 symbols is refused before allocation
+        r = run_cli("verify", "hard-prefix", "--d", "62,(62)", "--q", "10")
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert r.stdout == ""
 
 
 class TestErrorsAndCaps:

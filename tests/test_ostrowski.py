@@ -27,6 +27,33 @@ D8 = DirectiveSequence.parse("1,1,1,1,8,(1)")
 D14 = DirectiveSequence.parse("14,14,14,(1)")
 
 
+def literal_valid_reps(N, d):
+    """Every digit vector of N over the q_i <= N, kept when is_valid."""
+    qs = []
+    while True:
+        try:
+            q = standard_lengths(d, len(qs))[-1]
+        except IndexError:
+            break
+        if q > N:
+            break
+        qs.append(q)
+    found = set()
+
+    def go(i, rem, acc):
+        if i < 0:
+            if rem == 0:
+                r = OstrowskiRep(d, tuple(reversed(acc)))
+                if is_valid(r):
+                    found.add(r)
+            return
+        for k in range(rem // qs[i] + 1):
+            go(i - 1, rem - k * qs[i], acc + [k])
+
+    go(len(qs) - 1, N, [])
+    return found
+
+
 def rep(text, d=FIB):
     return OstrowskiRep.parse(text, d)
 
@@ -169,30 +196,25 @@ class TestEnumeration:
         assert chain <= rendered
 
     def test_matches_literal_scan(self):
-        # independent oracle: walk every digit vector whose dot product
-        # with the lengths can still reach N, then filter by the plain
-        # validity predicate on complete vectors
-        qs = standard_lengths(FIB, 9)[1:]
+        # independent oracle: every digit vector of N, filtered by the
+        # plain validity predicate
+        for text, nmax in [
+            ("fib", 60),
+            ("2,(2)", 40),
+            ("1,1,1,1,8,(1)", 40),
+            ("0,2,(1,3)", 40),
+            ("14,14,14,(1)", 40),
+            ("3,1,2", 14),
+        ]:
+            d = DirectiveSequence.parse(text)
+            for N in range(nmax + 1):
+                assert literal_valid_reps(N, d) == enumerate_valid_reps(N, d)
 
-        def literal(N):
-            top = next(i for i, q in enumerate(qs) if q > N)
-            found = []
-
-            def go(i, rem, acc):
-                if i < 0:
-                    if rem == 0:
-                        r = OstrowskiRep(FIB, tuple(reversed(acc)))
-                        if is_valid(r):
-                            found.append(r)
-                    return
-                for k in range(rem // qs[i] + 1):
-                    go(i - 1, rem - k * qs[i], acc + [k])
-
-            go(top - 1, N, [])
-            return set(found)
-
-        for N in range(61):
-            assert literal(N) == enumerate_valid_reps(N, FIB)
+    def test_finite_directive_too_short(self):
+        # 3,1,2 stops at s_3, of length 14
+        d = DirectiveSequence.parse("3,1,2")
+        with pytest.raises(ValueError, match="too short"):
+            enumerate_valid_reps(15, d)
 
     def test_legal_subset_of_valid(self):
         rng = random.Random(20260819)

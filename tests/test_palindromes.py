@@ -8,7 +8,14 @@ import random
 import pytest
 
 from sturmian.errors import CapExceededError
-from sturmian.ostrowski import OstrowskiRep, decode, is_legal, is_valid
+from sturmian.ostrowski import (
+    OstrowskiRep,
+    decode,
+    enumerate_valid_reps,
+    is_legal,
+    is_valid,
+    rep_sort_key,
+)
 from sturmian.palindromes import (
     PalindromeOccurrence,
     PalindromicTree,
@@ -23,6 +30,7 @@ from sturmian.palindromes import (
     palindrome_factor_count,
     palindromes_starting_at,
     z_vector,
+    ZdGapWitness,
     zd_max_gap,
 )
 from sturmian.words import BinaryWord, DirectiveSequence, characteristic_prefix
@@ -286,6 +294,34 @@ class TestZVectors:
             z_vector(OstrowskiRep(short, (1, 1, 1)))
 
 
+def brute_zd_max_gap(d, nmax):
+    """Every pair of valid vectors of every N <= nmax, every digit; the
+    first strict improvement is the witness."""
+    best = 0
+    witness = None
+    for n in range(nmax + 1):
+        reps = sorted(enumerate_valid_reps(n, d), key=rep_sort_key)
+        zs = [z_vector(r) for r in reps]
+        for a in range(len(reps)):
+            za = zs[a]
+            for b in range(a + 1, len(reps)):
+                zb = zs[b]
+                for i in range(max(len(za), len(zb))):
+                    va = za[i] if i < len(za) else 0
+                    vb = zb[i] if i < len(zb) else 0
+                    if abs(va - vb) > best:
+                        best = abs(va - vb)
+                        witness = ZdGapWitness(n, i, reps[a], reps[b])
+    return best, witness
+
+
+def random_directive(rng):
+    head = [rng.randrange(7)]
+    head += [rng.randrange(1, 7) for _ in range(rng.randrange(3))]
+    tail = [rng.randrange(1, 7) for _ in range(rng.randrange(1, 3))]
+    return DirectiveSequence(tuple(head), tuple(tail))
+
+
 class TestZdGap:
     def test_spike_directive(self):
         gap, witness = zd_max_gap(D8, 101)
@@ -310,6 +346,37 @@ class TestZdGap:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             zd_max_gap(FIB, 10, cap=9)
+
+    @pytest.mark.parametrize(
+        "text,nmax",
+        [
+            ("fib", 150),
+            ("2,(2)", 160),
+            ("1,1,1,1,8,(1)", 101),
+            ("1,1,1,1,8,(1)", 300),
+            ("0,2,(1,3)", 120),
+        ],
+    )
+    def test_matches_pairwise_oracle(self, text, nmax):
+        d = DirectiveSequence.parse(text)
+        assert zd_max_gap(d, nmax) == brute_zd_max_gap(d, nmax)
+
+    def test_matches_pairwise_oracle_random(self):
+        rng = random.Random(20261018)
+        for _ in range(20):
+            d = random_directive(rng)
+            nmax = rng.randrange(161)
+            assert zd_max_gap(d, nmax) == brute_zd_max_gap(d, nmax)
+
+    def test_finite_directive_error_matches_oracle(self):
+        d = DirectiveSequence.parse("2,2")
+        with pytest.raises(ValueError) as oracle:
+            brute_zd_max_gap(d, 40)
+        with pytest.raises(ValueError) as fast:
+            zd_max_gap(d, 40)
+        assert str(fast.value) == str(oracle.value)
+        # below q_2 = 7 every digit has a bound
+        assert zd_max_gap(d, 6) == brute_zd_max_gap(d, 6)
 
 
 def brute_pal_length(raw):
