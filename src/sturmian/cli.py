@@ -264,10 +264,7 @@ def _cmd_count_sturmian(args) -> int:
 
 def _cmd_count_balanced(args) -> int:
     cap = _resolve_cap(args.cap, DEFAULT_BALANCED_CAP)
-    value = balanced_count(
-        args.n, cap=cap, workers=_positive(args.workers, "--workers")
-    )
-    _emit_scalar(args.format, value)
+    _emit_scalar(args.format, balanced_count(args.n, cap=cap))
     return 0
 
 
@@ -476,12 +473,11 @@ def _cmd_verify_balanced_vs_formula(args) -> int:
     if args.nmax < 0:
         raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
     cap = _resolve_cap(args.cap, DEFAULT_BALANCED_CAP)
-    workers = _positive(args.workers, "--workers")
     rows = []
     passed = True
     for n in range(args.nmax + 1):
         formula = sturmian_total(n)
-        oracle = balanced_count(n, cap=cap, workers=workers)
+        oracle = balanced_count(n, cap=cap)
         ok = formula == oracle
         passed = passed and ok
         rows.append((n, formula, oracle, "ok" if ok else "FAIL"))
@@ -604,7 +600,6 @@ def _build_parser() -> _Parser:
     c = cnt.add_parser("balanced", parents=[common])
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--cap", type=int)
-    c.add_argument("--workers", type=int, default=1)
     c.set_defaults(func=_cmd_count_balanced)
 
     c = cnt.add_parser("rotation-faces", parents=[common])
@@ -697,7 +692,6 @@ def _build_parser() -> _Parser:
     v = ver.add_parser("balanced-vs-formula", parents=[common])
     v.add_argument("--nmax", type=int, required=True)
     v.add_argument("--cap", type=int)
-    v.add_argument("--workers", type=int, default=1)
     v.set_defaults(func=_cmd_verify_balanced_vs_formula)
 
     v = ver.add_parser("rotation-formula", parents=[common])

@@ -9,8 +9,6 @@ arrangement in the unit parameter square.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceededError
@@ -125,20 +123,7 @@ def _count_completions(n, bits, ones, mn, mx):
     return total
 
 
-def _balanced_chunk(n: int, prefix: tuple[int, ...]) -> int:
-    """Balanced words of length n beginning with the given symbols."""
-    bits: list[int] = []
-    ones = [0]
-    mn = [n + 2] * (n + 1)
-    mx = [-1] * (n + 1)
-    for x in prefix:
-        ok, _ = _try_extend(bits, ones, mn, mx, x)
-        if not ok:
-            return 0
-    return _count_completions(n, bits, ones, mn, mx)
-
-
-def balanced_count(n: int, cap: int = DEFAULT_BALANCED_CAP, workers: int = 1) -> int:
+def balanced_count(n: int, cap: int = DEFAULT_BALANCED_CAP) -> int:
     """Number of balanced binary words of length n, counted by walking
     the tree of balanced prefixes (unbalanced prefixes cannot extend to
     balanced words, so pruning loses nothing)."""
@@ -148,13 +133,7 @@ def balanced_count(n: int, cap: int = DEFAULT_BALANCED_CAP, workers: int = 1) ->
         raise CapExceededError(
             f"balanced-word enumeration is capped at length {cap}, got {n}"
         )
-    if workers <= 1 or n <= 3:
-        return _balanced_chunk(n, ())
-    from concurrent.futures import ProcessPoolExecutor
-
-    prefixes = list(itertools.product((0, 1), repeat=3))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(functools.partial(_balanced_chunk, n), prefixes))
+    return _count_completions(n, [], [0], [n + 2] * (n + 1), [-1] * (n + 1))
 
 
 def rotation_face_count(n: int) -> int:

@@ -2,7 +2,7 @@
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration or stabilization would exceed its configured cap."""
+    """An enumeration or a prefix would exceed its configured cap."""
 
 
 class TheoremViolationError(RuntimeError):

@@ -24,6 +24,7 @@ from .errors import CapExceededError
 from .words import (
     BinaryWord,
     DirectiveSequence,
+    _top_level,
     characteristic_prefix,
     standard_words,
 )
@@ -51,10 +52,7 @@ def standard_lengths(d: DirectiveSequence, n: int) -> list[int]:
     q_{i+1} = d_i q_i + q_{i-1}."""
     if n < -1:
         raise ValueError("index must be at least -1")
-    qs = [1, 1]
-    for i in range(n):
-        qs.append(d.digit(i) * qs[-1] + qs[-2])
-    return qs[: n + 2]
+    return [d.q(i) for i in range(-1, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -123,34 +121,25 @@ def encode(N: int, d: DirectiveSequence) -> OstrowskiRep:
         raise ValueError("only nonnegative integers are representable")
     if N == 0:
         return OstrowskiRep(d, ())
-    qs = [1, 1]
-    i = 0
-    while True:
-        try:
-            nxt = d.digit(i) * qs[-1] + qs[-2]
-        except IndexError:
-            raise ValueError(
-                f"finite directive sequence cannot represent {N} "
-                f"(its digit range stops below that value)"
-            ) from None
-        if nxt > N:
-            break
-        qs.append(nxt)
-        i += 1
+    top = _top_level(d, N)
+    try:
+        d.q(top + 1)
+    except IndexError:
+        raise ValueError(
+            f"finite directive sequence cannot represent {N} "
+            f"(its digit range stops below that value)"
+        ) from None
     digits_msb = []
     rem = N
-    for j in range(len(qs) - 2, -1, -1):
-        k, rem = divmod(rem, qs[j + 1])
+    for j in range(top, -1, -1):
+        k, rem = divmod(rem, d.q(j))
         digits_msb.append(k)
     return OstrowskiRep(d, tuple(reversed(digits_msb)))
 
 
 def decode(rep: OstrowskiRep) -> int:
     """sum of k_i * q_i over the stored digits."""
-    if not rep.digits:
-        return 0
-    qs = standard_lengths(rep.d, len(rep.digits) - 1)
-    return sum(k * qs[i + 1] for i, k in enumerate(rep.digits))
+    return sum(k * rep.d.q(i) for i, k in enumerate(rep.digits))
 
 
 def is_legal(rep: OstrowskiRep) -> bool:
@@ -210,19 +199,8 @@ class _ValidDigitDag:
     """
 
     def __init__(self, d: DirectiveSequence, n: int):
-        qs = [1, 1]
-        i = 0
-        while True:
-            try:
-                nxt = d.digit(i) * qs[-1] + qs[-2]
-            except IndexError:
-                break
-            if nxt > n:
-                break
-            qs.append(nxt)
-            i += 1
         self.n = n
-        self.qs = qs[1:]
+        self.qs = standard_lengths(d, _top_level(d, n))[1:]
         prefix = characteristic_prefix(d, n).raw
         self.runs = []
         for q, w in zip(self.qs, standard_words(d, len(self.qs) - 1)[1:]):
@@ -302,21 +280,12 @@ def enumerate_legal_reps(
         raise CapExceededError(
             f"legal-representation enumeration is capped at {cap}, got {N}"
         )
-    qs = [1, 1]
-    i = 0
-    top = -1
-    while True:
-        try:
-            dn = d.digit(i)
-        except IndexError:
-            top = i - 1
-            break
-        nxt = dn * qs[-1] + qs[-2]
-        if nxt > N:
-            top = i
-            break
-        qs.append(nxt)
-        i += 1
+    # Legal digits need their bound d_i, so a finite sequence stops at
+    # its last digit.
+    top = _top_level(d, N)
+    if d.is_finite:
+        top = min(top, len(d.explicit) - 1)
+    qs = standard_lengths(d, top)
     # Largest sum reachable using digits 0..idx, for pruning.
     reach = [0] * (top + 1)
     run = 0
@@ -338,6 +307,5 @@ def enumerate_legal_reps(
             descend(idx - 1, rem - k * q, acc)
             acc.pop()
 
-    if top >= 0 or N == 0:
-        descend(top, N, [])
+    descend(top, N, [])
     return out

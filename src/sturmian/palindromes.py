@@ -31,6 +31,7 @@ from .words import (
     DEFAULT_STABILIZE_CAP,
     BinaryWord,
     DirectiveSequence,
+    _factors,
     characteristic_prefix,
     standard_words,
 )
@@ -144,26 +145,13 @@ def palindrome_factor_count(
     d: DirectiveSequence, n: int, cap: int = DEFAULT_STABILIZE_CAP
 ) -> int:
     """h(n): distinct palindromic factors of length n of the
-    characteristic word, computed on a stabilized prefix."""
+    characteristic word, read off its prefix of length
+    R(n) = n + q_{k+1} + q_k - 1, q_k <= n < q_{k+1}, which holds every
+    length-n factor (see words._factors); CapExceededError when R(n)
+    exceeds the cap."""
     if n < 1:
         raise ValueError("factor length must be at least 1")
-    length = max(64, 4 * n)
-    prev = None
-    while length <= cap:
-        raw = characteristic_prefix(d, length).raw
-        rev = raw[::-1]
-        total = len(raw)
-        found = set()
-        for i in range(total - n + 1):
-            if raw[i : i + n] == rev[total - i - n : total - i]:
-                found.add(raw[i : i + n])
-        if prev is not None and len(found) == prev:
-            return prev
-        prev = len(found)
-        length *= 2
-    raise CapExceededError(
-        f"palindromic factor count did not stabilize within the {cap}-symbol cap"
-    )
+    return sum(f == f[::-1] for f in _factors(d, n, cap))
 
 
 def distinct_palindromic_factors(u: BinaryWord) -> tuple[int, bool]:
@@ -237,15 +225,13 @@ def _central_reference(d: DirectiveSequence, length: int):
     """
     if length < 1:
         return None
-    qs = [1, 1]
     m = 0
     while True:
         try:
-            dm = d.digit(m)
+            q_next = d.q(m + 1)
         except IndexError:
             return None
-        q_m, q_prev = qs[m + 1], qs[m]
-        q_next = dm * q_m + q_prev
+        q_m, q_prev = d.q(m), d.q(m - 1)
         lo = 2 * q_m + q_prev - 2
         hi = q_next + q_m - 2
         if length < lo:
@@ -253,10 +239,9 @@ def _central_reference(d: DirectiveSequence, length: int):
         if length <= hi:
             j, rem = divmod(length + 2 - q_prev, q_m)
             j -= 1
-            if rem == 0 and 1 <= j <= dm:
+            if rem == 0 and 1 <= j <= d.digit(m):
                 return (m, j)
             return None
-        qs.append(q_next)
         m += 1
 
 
@@ -314,7 +299,7 @@ def _constructive_witness(occ: PalindromeOccurrence):
     if ref is None:
         return None
     m, j = ref
-    q_m = standard_lengths(d, m)[m + 1]
+    q_m = d.q(m)
     offset = occ.p1 - ext.p1
     k = offset // q_m
     try:
@@ -352,22 +337,19 @@ def _fallback_witness(occ: PalindromeOccurrence, enum_cap: int):
     valid."""
     d = occ.d
     p1, p2 = occ.p1, occ.p2
-    qs = [1, 1]
-    pivots = []
-    m = 0
-    while True:
-        if qs[m + 1] + qs[m] > p1 + p2 + 2:
-            break
-        try:
-            dm = d.digit(m)
-        except IndexError:
-            break
-        pivots.append(m)
-        qs.append(dm * qs[m + 1] + qs[m])
-        m += 1
+    # The pivots are 0..top-1: every m with q_m + q_{m-1} <= p1 + p2 + 2
+    # whose digit d_m exists.
+    top = 0
+    try:
+        while d.q(top) + d.q(top - 1) <= p1 + p2 + 2:
+            d.digit(top)
+            top += 1
+    except IndexError:
+        pass
+    qs = standard_lengths(d, top)
     reps = sorted(enumerate_legal_reps(p1, d, cap=enum_cap), key=rep_sort_key)
     for x in reps:
-        for m in pivots:
+        for m in range(top):
             high = sum(
                 x.digit(i) * qs[i + 1] for i in range(m + 1, len(x.digits))
             )
@@ -466,7 +448,7 @@ def zd_max_gap(
     # a finite directive is that digit's q.
     if d.is_finite:
         last = len(d.explicit)
-        if standard_lengths(d, last)[-1] <= nmax:
+        if d.q(last) <= nmax:
             raise ValueError(
                 f"digit {last} has no directive bound to measure against"
             )
@@ -503,26 +485,31 @@ def zd_max_gap(
     raise AssertionError("the gap's smallest N has no pair showing it")
 
 
-def pal_length(u: BinaryWord) -> int:
-    """Minimal number of palindromes concatenating to u (0 for the
-    empty word by convention)."""
-    n = len(u)
-    if n == 0:
-        return 0
+def _pal_lengths(raw: bytes) -> list[int]:
+    """dp[i] = palindromic length of raw[:i], for i = 0..len(raw): one
+    plus the least dp before any palindromic suffix, each suffix read
+    off the eertree's suffix links."""
     tree = PalindromicTree()
-    dp = [0] * (n + 1)
-    raw = u.raw
-    for i in range(1, n + 1):
-        tree.add(raw[i - 1])
+    add = tree.add
+    dp = [0] * (len(raw) + 1)
+    for i, symbol in enumerate(raw, 1):
+        add(symbol)
         node = tree._last
-        short = None
+        short = dp[i - node.length]
+        node = node.link
         while node.length > 0:
             prev = dp[i - node.length]
-            if short is None or prev < short:
+            if prev < short:
                 short = prev
             node = node.link
         dp[i] = short + 1
-    return dp[n]
+    return dp
+
+
+def pal_length(u: BinaryWord) -> int:
+    """Minimal number of palindromes concatenating to u (0 for the
+    empty word by convention)."""
+    return _pal_lengths(u.raw)[-1]
 
 
 def pal_length_profile(
@@ -534,24 +521,12 @@ def pal_length_profile(
         raise ValueError("profile length must be at least 1")
     if L > cap:
         raise CapExceededError(f"profile length is capped at {cap}, got {L}")
-    raw = characteristic_prefix(d, L).raw
-    tree = PalindromicTree()
-    dp = [0] * (L + 1)
     records = []
-    best = 0
-    for i in range(1, L + 1):
-        tree.add(raw[i - 1])
-        node = tree._last
-        short = None
-        while node.length > 0:
-            prev = dp[i - node.length]
-            if short is None or prev < short:
-                short = prev
-            node = node.link
-        dp[i] = short + 1
-        if dp[i] > best:
-            best = dp[i]
-            records.append((i, best))
+    # A prefix one symbol longer needs at most one more palindrome, so
+    # the records are the first positions of 1, 2, 3, ...
+    for i, value in enumerate(_pal_lengths(characteristic_prefix(d, L).raw)):
+        if value > len(records):
+            records.append((i, value))
     return records
 
 
@@ -567,7 +542,6 @@ def construct_hard_prefix(d: DirectiveSequence, Q: int) -> int:
     digit_value = 3 * Q + 1
     need = Q + 1
     limit = len(d.explicit) + len(d.periodic) * need
-    qs = [1, 1]
     total = 0
     found = 0
     for m in range(limit):
@@ -576,11 +550,10 @@ def construct_hard_prefix(d: DirectiveSequence, Q: int) -> int:
         except IndexError:
             break
         if dm >= threshold:
-            total += qs[m + 1]
+            total += d.q(m)
             found += 1
             if found == need:
                 return digit_value * total
-        qs.append(dm * qs[m + 1] + qs[m])
     raise ValueError(
         f"needs {need} directive digits of size at least {threshold}, "
         f"found {found}"

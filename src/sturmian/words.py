@@ -2,9 +2,9 @@
 
 Mechanical and rotation words are generated from exact slope/intercept
 parameters; standard and characteristic words come from a directive
-sequence.  Also here: factor sets and stabilized factor counts, the
-balance test with counterexample witness, block partitions of
-characteristic words, and a power-freeness check.
+sequence.  Also here: factor sets and factor counts read off a prefix
+of proved length, the balance test with counterexample witness, block
+partitions of characteristic words, and a power-freeness check.
 
 A word is stored one symbol per byte (values 0 and 1) and can be
 rendered over {0,1} or {a,b} with the fixed letter coding 0 <-> a,
@@ -35,6 +35,7 @@ __all__ = [
     "DEFAULT_STABILIZE_CAP",
 ]
 
+# Longest prefix a factor count may scan.
 DEFAULT_STABILIZE_CAP = 1 << 20
 
 _FROM_CHAR = {"0": 0, "1": 1, "a": 0, "b": 1}
@@ -148,6 +149,11 @@ class DirectiveSequence:
 
     The explicit digits may be followed by a periodic tail that repeats
     forever.  d_0 may be zero; every later digit must be positive.
+
+    Each instance keeps the two objects every tool reads: the table of
+    lengths q_i (see q) and a prefix of the characteristic word, both
+    grown on demand.  They are not fields, so equality and hashing see
+    only the digits.
     """
 
     explicit: tuple[int, ...]
@@ -162,6 +168,8 @@ class DirectiveSequence:
             raise ValueError("d_0 must be nonnegative")
         if any(v < 1 for v in self.explicit[1:]) or any(v < 1 for v in self.periodic):
             raise ValueError("digits after d_0 must be positive")
+        self.__dict__["_qs"] = [1, 1]  # q_{-1}, q_0, ...
+        self.__dict__["_prefix"] = b""
 
     @property
     def is_finite(self) -> bool:
@@ -180,6 +188,55 @@ class DirectiveSequence:
 
     def digits(self, count: int) -> list[int]:
         return [self.digit(i) for i in range(count)]
+
+    def q(self, i: int) -> int:
+        """q_i, the length of the standard word s_i (i >= -1):
+        q_{-1} = q_0 = 1 and q_{i+1} = d_i q_i + q_{i-1}.  Past the end
+        of a finite sequence it raises IndexError, as digit() does."""
+        if i < -1:
+            raise IndexError("length index must be at least -1")
+        qs = self._qs
+        while len(qs) <= i + 1:
+            qs.append(self.digit(len(qs) - 2) * qs[-1] + qs[-2])
+        return qs[i + 1]
+
+    def _characteristic(self, length: int) -> bytes:
+        """The first `length` symbols of the characteristic word, cut
+        from the kept prefix."""
+        if length > len(self._prefix):
+            self._grow(length)
+        return self._prefix[:length]
+
+    def _grow(self, length: int) -> None:
+        """Rebuild the kept prefix at least twice as long (at most the
+        whole word of a finite sequence), so n symbols cost O(log n)
+        builds."""
+        want = max(length, 2 * len(self._prefix))
+        if self.is_finite:
+            whole = self.q(len(self.explicit))
+            if length > whole:
+                raise ValueError(
+                    f"directive sequence too short for a prefix of length {length}"
+                )
+            want = min(want, whole)
+        s_prev, s_cur = b"\x01", b"\x00"  # s_{-1}, s_0
+        i = 0
+        while len(s_cur) < want or i < 1:
+            # Build s_{i+1} = s_i^{d_i} s_{i-1}, stopping early once the
+            # partial concatenation (a prefix of the limit word) is long
+            # enough.
+            chunks = []
+            size = 0
+            for _ in range(self.digit(i)):
+                chunks.append(s_cur)
+                size += len(s_cur)
+                if size >= want:
+                    break
+            else:
+                chunks.append(s_prev)
+            s_prev, s_cur = s_cur, b"".join(chunks)
+            i += 1
+        self.__dict__["_prefix"] = s_cur[:want]
 
     def slope(self) -> ExactReal:
         """The slope of the characteristic word, as a continued fraction
@@ -319,57 +376,24 @@ def rotation_word(alpha: ExactReal, rho: ExactReal, sigma: ExactReal, n: int) ->
     return BinaryWord._from_raw(bytes(out))
 
 
-_S_MINUS1 = b"\x01"
-_S_ZERO = b"\x00"
-
-
 def standard_words(d: DirectiveSequence, n: int) -> list[BinaryWord]:
     """The standard words s_{-1}, s_0, ..., s_n as a list of n+2 words.
 
-    s_{-1} = b, s_0 = a, and s_{i+1} = s_i^{d_i} s_{i-1}.
+    s_{-1} = b, s_0 = a, and s_{i+1} = s_i^{d_i} s_{i-1}.  For i >= 1,
+    s_i is the length-q_i prefix of the characteristic word.
     """
     if n < -1:
         raise ValueError("index must be at least -1")
-    words = [_S_MINUS1, _S_ZERO]
-    for i in range(n):
-        words.append(words[-1] * d.digit(i) + words[-2])
+    raw = d._characteristic(d.q(n)) if n >= 1 else b""
+    words = [b"\x01", b"\x00"] + [raw[: d.q(i)] for i in range(1, n + 1)]
     return [BinaryWord._from_raw(w) for w in words[: n + 2]]
-
-
-def _characteristic_raw(d: DirectiveSequence, length: int) -> bytes:
-    if length == 0:
-        return b""
-    s_prev, s_cur = _S_MINUS1, _S_ZERO
-    i = 0
-    while len(s_cur) < length or i < 1:
-        try:
-            dn = d.digit(i)
-        except IndexError:
-            raise ValueError(
-                f"directive sequence too short for a prefix of length {length}"
-            ) from None
-        # Build s_{i+1} = s_i^{d_i} s_{i-1}, stopping early once the
-        # partial concatenation (a prefix of the limit word) is long
-        # enough.
-        chunks = []
-        size = 0
-        for _ in range(dn):
-            chunks.append(s_cur)
-            size += len(s_cur)
-            if size >= length:
-                break
-        else:
-            chunks.append(s_prev)
-        s_prev, s_cur = s_cur, b"".join(chunks)
-        i += 1
-    return s_cur[:length]
 
 
 def characteristic_prefix(d: DirectiveSequence, length: int) -> BinaryWord:
     """Prefix of the characteristic word of d (the limit of the s_n)."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    return BinaryWord._from_raw(_characteristic_raw(d, length))
+    return BinaryWord._from_raw(d._characteristic(length))
 
 
 def factor_set(w: BinaryWord, n: int) -> set[BinaryWord]:
@@ -384,56 +408,62 @@ def factor_set(w: BinaryWord, n: int) -> set[BinaryWord]:
     }
 
 
+def _top_level(d: DirectiveSequence, n: int) -> int:
+    """The largest i >= 0 with q_i <= n, or the last index of a finite
+    sequence if that comes first."""
+    i = 0
+    try:
+        while d.q(i + 1) <= n:
+            i += 1
+    except IndexError:
+        pass
+    return i
+
+
+def _factors(d: DirectiveSequence, n: int, cap: int) -> set[bytes]:
+    """The length-n factors (n >= 1) of the characteristic word of d.
+
+    Every one of them occurs in the prefix of length
+    R(n) = n + q_{k+1} + q_k - 1, k the largest index with q_k <= n:
+    R is the recurrence function of Morse and Hedlund ("Symbolic
+    dynamics II. Sturmian trajectories", 1940), so every factor of
+    length R(n) holds every factor of length n.  The cap bounds R(n)
+    and is checked before the prefix is built; one scan reads the
+    factors off.
+    """
+    k = _top_level(d, n)
+    try:
+        length = n + d.q(k + 1) + d.q(k) - 1
+    except IndexError:
+        raise ValueError(
+            f"directive sequence too short to hold every factor of length {n}"
+        ) from None
+    if length > cap:
+        raise CapExceededError(
+            f"factors of length {n} need a {length}-symbol prefix, "
+            f"above the {cap}-symbol cap"
+        )
+    raw = d._characteristic(length)
+    return {raw[i : i + n] for i in range(length - n + 1)}
+
+
 def characteristic_factor_count(
     d: DirectiveSequence, n: int, cap: int = DEFAULT_STABILIZE_CAP
 ) -> int:
-    """Number of distinct length-n factors of the characteristic word.
-
-    Computed on a finite prefix whose length is doubled until the count
-    stops changing; a cap bounds the search and overruns raise.
-    """
+    """Number of distinct length-n factors of the characteristic word,
+    read off its prefix of length R(n) (see _factors); CapExceededError
+    when R(n) exceeds the cap."""
     if n < 0:
         raise ValueError("factor length must be nonnegative")
     if n == 0:
         return 1
-    length = max(64, 4 * n)
-    prev = None
-    while length <= cap:
-        raw = _characteristic_raw(d, length)
-        count = len({raw[i : i + n] for i in range(len(raw) - n + 1)})
-        if count == prev:
-            return count
-        prev = count
-        length *= 2
-    raise CapExceededError(
-        f"factor count did not stabilize within the {cap}-symbol cap"
-    )
+    return len(_factors(d, n, cap))
 
 
 def is_balanced(w: BinaryWord) -> bool:
     """True iff, for every window length, the counts of symbol 1 over all
     windows of that length spread by at most 1."""
-    raw = w.raw
-    n = len(raw)
-    prefix = [0] * (n + 1)
-    acc = 0
-    for i, v in enumerate(raw):
-        acc += v
-        prefix[i + 1] = acc
-    for ell in range(2, n):
-        lo = ell + 1
-        hi = -1
-        for i in range(n - ell + 1):
-            v = prefix[i + ell] - prefix[i]
-            if v < lo:
-                lo = v
-                if hi - lo > 1:
-                    return False
-            if v > hi:
-                hi = v
-                if hi - lo > 1:
-                    return False
-    return True
+    return balance_witness(w) is None
 
 
 def balance_witness(w: BinaryWord):
@@ -465,14 +495,6 @@ def balance_witness(w: BinaryWord):
     return None
 
 
-def _q_lengths(d: DirectiveSequence, n: int) -> list[int]:
-    """[q_{-1}, q_0, ..., q_n] with q_{i+1} = d_i q_i + q_{i-1}."""
-    qs = [1, 1]
-    for i in range(n):
-        qs.append(d.digit(i) * qs[-1] + qs[-2])
-    return qs[: n + 2]
-
-
 def n_partition(d: DirectiveSequence, m: int, length: int) -> list[int]:
     """Decompose the characteristic prefix into blocks s_m and s_{m-1}.
 
@@ -484,16 +506,12 @@ def n_partition(d: DirectiveSequence, m: int, length: int) -> list[int]:
         raise ValueError("partition level must be nonnegative")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    qs = _q_lengths(d, m)
-    len_prev, len_cur = qs[m], qs[m + 1]
     seq_prev, seq_cur = [m - 1], [m]
     i = m
-    while len_cur < length or i < 1:
-        dn = d.digit(i)
-        seq_prev, seq_cur = seq_cur, seq_cur * dn + seq_prev
-        len_prev, len_cur = len_cur, len_cur * dn + len_prev
+    while d.q(i) < length or i < 1:
+        seq_prev, seq_cur = seq_cur, seq_cur * d.digit(i) + seq_prev
         i += 1
-    block_len = {m: qs[m + 1], m - 1: qs[m]}
+    block_len = {m: d.q(m), m - 1: d.q(m - 1)}
     out = []
     total = 0
     for tag in seq_cur:

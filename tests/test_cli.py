@@ -74,12 +74,6 @@ class TestCount:
         r = run_cli("count", "sturmian", "--n", "4", "--format", "json")
         assert json.loads(r.stdout) == {"schema": 1, "value": 14}
 
-    def test_balanced_workers_agree(self):
-        one = run_cli("count", "balanced", "--n", "14", "--workers", "1")
-        two = run_cli("count", "balanced", "--n", "14", "--workers", "2")
-        assert one.returncode == two.returncode == 0
-        assert one.stdout == two.stdout == "346\n"
-
     def test_rotation_words_rational_sigma(self):
         r = run_cli("count", "rotation-words", "--sigma", "2/5", "--length", "3")
         assert r.returncode == 1
@@ -173,6 +167,12 @@ class TestVerify:
         assert r.returncode == 0
         assert r.stdout.rstrip("\n").splitlines()[-1] == "pass"
 
+    def test_h_pattern_long_first_run(self):
+        # the prefix a^200 b ... holds its factors only past symbol 200
+        r = run_cli("verify", "h-pattern", "--d", "200,(1)", "--nmax", "60")
+        assert r.returncode == 0
+        assert r.stdout.rstrip("\n").splitlines()[-1] == "pass"
+
     def test_balanced_vs_formula(self):
         r = run_cli("verify", "balanced-vs-formula", "--nmax", "10")
         assert r.returncode == 0
@@ -196,6 +196,12 @@ class TestErrorsAndCaps:
         r = run_cli("generate", "characteristic", "--d", "fib", "--length", "5", "--bogus")
         assert r.returncode == 1
         assert "--bogus" in r.stderr or "unrecognized" in r.stderr
+
+    def test_workers_flag_removed(self):
+        r = run_cli("count", "balanced", "--n", "14", "--workers", "2")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "--workers" in r.stderr
 
     def test_missing_required(self):
         r = run_cli("generate", "characteristic", "--d", "fib")

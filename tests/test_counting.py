@@ -77,10 +77,6 @@ class TestBalancedOracle:
         with pytest.raises(CapExceededError):
             balanced_count(10, cap=9)
 
-    def test_workers_agree(self):
-        for n in (8, 11):
-            assert balanced_count(n, workers=2) == balanced_count(n, workers=1)
-
 
 class TestFaceFormula:
     def test_values(self):

@@ -103,8 +103,10 @@ class TestFactorCounts:
             palindrome_factor_count(FIB, 0)
 
     def test_cap(self):
+        # R(10) = 10 + q_5 + q_4 - 1 = 30 symbols on the Fibonacci word
+        assert palindrome_factor_count(FIB, 10, cap=30) == 1
         with pytest.raises(CapExceededError):
-            palindrome_factor_count(FIB, 10, cap=32)
+            palindrome_factor_count(FIB, 10, cap=29)
 
 
 class TestRichness:

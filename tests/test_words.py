@@ -6,6 +6,7 @@ import pytest
 
 from sturmian.errors import CapExceededError
 from sturmian.exactnum import ExactReal, parse_real
+from sturmian.ostrowski import standard_lengths
 from sturmian.words import (
     BinaryWord,
     DirectiveSequence,
@@ -309,6 +310,87 @@ class TestCharacteristic:
             assert (b"\x01" + u) in big
 
 
+def oracle_lengths(d, n):
+    """[q_{-1}, ..., q_n] by the recurrence, written out."""
+    qs = [1, 1]
+    for i in range(n):
+        qs.append(d.digit(i) * qs[-1] + qs[-2])
+    return qs[: n + 2]
+
+
+def oracle_standard_words(d, n):
+    """[s_{-1}, ..., s_n] by s_{i+1} = s_i^{d_i} s_{i-1}, written out."""
+    words = [b"\x01", b"\x00"]
+    for i in range(n):
+        words.append(words[-1] * d.digit(i) + words[-2])
+    return [BinaryWord(w) for w in words[: n + 2]]
+
+
+def oracle_characteristic(d, length):
+    """The first `length` symbols of the limit of the s_n."""
+    i = 1
+    while oracle_lengths(d, i)[-1] < length:
+        i += 1
+    return oracle_standard_words(d, i)[-1][:length]
+
+
+class TestSingleSource:
+    """The words, lengths and prefixes kept on a directive agree with
+    the recurrences written out, and do not depend on the order of the
+    requests that grew them."""
+
+    INFINITE = ("fib", "0,(4)", "0,2,(1,3)", "62,(62)")
+
+    def test_against_recurrences(self):
+        for text in self.INFINITE:
+            top = 3 if text == "62,(62)" else 12
+            for n in range(-1, top + 1):
+                d = DirectiveSequence.parse(text)
+                assert standard_words(d, n) == oracle_standard_words(d, n)
+                assert standard_lengths(d, n) == oracle_lengths(d, n)
+            for length in (0, 1, 2, 7, 64, 1000, 5000):
+                d = DirectiveSequence.parse(text)
+                assert characteristic_prefix(d, length) == oracle_characteristic(
+                    d, length
+                )
+
+    def test_finite_sequence(self):
+        d = DirectiveSequence.parse("2,3")
+        for n in (-1, 0, 1, 2):
+            assert standard_words(d, n) == oracle_standard_words(d, n)
+            assert standard_lengths(d, n) == oracle_lengths(d, n)
+        assert characteristic_prefix(d, 10) == oracle_standard_words(d, 2)[-1]
+        for call in (standard_words, standard_lengths, oracle_standard_words,
+                     oracle_lengths):
+            with pytest.raises(IndexError):
+                call(DirectiveSequence.parse("2,3"), 3)
+        with pytest.raises(ValueError):
+            characteristic_prefix(d, 11)
+        assert characteristic_prefix(d, 10).to_string("ab") == "aabaabaaba"
+
+    def test_request_order(self):
+        for text in self.INFINITE:
+            warm = DirectiveSequence.parse(text)
+            for length in (10, 1000, 5, 1000):
+                fresh = DirectiveSequence.parse(text)
+                assert characteristic_prefix(warm, length) == characteristic_prefix(
+                    fresh, length
+                )
+            if text != "62,(62)":
+                warm = DirectiveSequence.parse(text)
+                characteristic_prefix(warm, 3)
+                assert standard_words(warm, 6) == standard_words(
+                    DirectiveSequence.parse(text), 6
+                )
+
+    def test_cache_is_not_a_field(self):
+        warm = DirectiveSequence.parse("fib")
+        characteristic_prefix(warm, 500)
+        fresh = DirectiveSequence.parse("fib")
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+
+
 class TestFactors:
     def test_worked_example_u(self):
         u = bw(EXAMPLE_U)
@@ -330,17 +412,25 @@ class TestFactors:
             factor_set(w, -1)
 
     def test_sturmian_complexity(self):
-        for d in (FIB, D2, DirectiveSequence.parse("3,1,(2,5)")):
-            for n in (1, 2, 3, 5, 10, 30):
+        for text in ("fib", "2,(2)", "3,1,(2,5)", "0,(1)", "0,2,(1,3)", "200,(1)",
+                     "62,(62)"):
+            d = DirectiveSequence.parse(text)
+            for n in (1, 2, 3, 5, 10, 30, 63, 150):
                 assert characteristic_factor_count(d, n) == n + 1
 
     def test_fibonacci_complexity_window(self):
         w = characteristic_prefix(FIB, 200)
         assert len(factor_set(w, 10)) == 11
 
+    def test_long_first_run(self):
+        # 200,(1) starts a^200 b: a prefix of a's alone shows one factor
+        assert characteristic_factor_count(DirectiveSequence.parse("200,(1)"), 3) == 4
+
     def test_stabilization_cap(self):
+        # R(5) = 5 + q_4 + q_3 - 1 = 17 symbols on the Fibonacci word
+        assert characteristic_factor_count(FIB, 5, cap=17) == 6
         with pytest.raises(CapExceededError):
-            characteristic_factor_count(FIB, 5, cap=32)
+            characteristic_factor_count(FIB, 5, cap=16)
 
 
 class TestBalance:
