@@ -193,6 +193,15 @@ def _word_argument(args) -> BinaryWord:
     return characteristic_prefix(_directive(args.d), args.length)
 
 
+def _within(fn, flag: str, *args):
+    """fn(*args), with the IndexError a finite directive raises past its
+    last digit reported as a usage error on `flag`."""
+    try:
+        return fn(*args)
+    except IndexError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _positive(value: int, flag: str) -> int:
     if value < 1:
         raise ValueError(f"{flag} must be positive, got {value}")
@@ -232,7 +241,7 @@ def _cmd_generate_characteristic(args) -> int:
 def _cmd_generate_standard(args) -> int:
     if args.n < -1:
         raise ValueError(f"--n must be at least -1, got {args.n}")
-    words = standard_words(_directive(args.d), args.n)
+    words = _within(standard_words, "--n", _directive(args.d), args.n)
     rows = [
         (idx - 1, word.to_string(args.alphabet))
         for idx, word in enumerate(words)
@@ -308,7 +317,7 @@ def _parse_digits(text: str, d: DirectiveSequence) -> OstrowskiRep:
 
 def _cmd_ostrowski_decode(args) -> int:
     rep = _parse_digits(args.digits, _directive(args.d))
-    _emit_scalar(args.format, decode(rep))
+    _emit_scalar(args.format, _within(decode, "--digits", rep))
     return 0
 
 
@@ -320,7 +329,7 @@ def _cmd_ostrowski_legal(args) -> int:
 
 def _cmd_ostrowski_valid(args) -> int:
     rep = _parse_digits(args.digits, _directive(args.d))
-    _emit_scalar(args.format, is_valid(rep))
+    _emit_scalar(args.format, _within(is_valid, "--digits", rep))
     return 0
 
 

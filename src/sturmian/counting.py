@@ -31,7 +31,7 @@ __all__ = [
     "DEFAULT_SWEEP_CAP",
 ]
 
-DEFAULT_BALANCED_CAP = 22
+DEFAULT_BALANCED_CAP = 40
 DEFAULT_SWEEP_CAP = 14
 
 

@@ -64,6 +64,18 @@ def _radical_sign(v: int, w: int, d: int) -> int:
     return _sign(v * v - w * w * d)
 
 
+def _floor_quadratic(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d)) / c) for plain integers, c > 0, d >= 0.
+
+    floor((a + x) / c) = floor((a + floor(x)) / c) for real x, and
+    floor(b*sqrt(d)) is isqrt(b^2 d) for b >= 0 and
+    -ceil(|b| sqrt(d)) = -isqrt(b^2 d - 1) - 1 for b < 0 (d > 0).
+    """
+    if b >= 0 or d == 0:
+        return (a + math.isqrt(b * b * d)) // c
+    return (a - math.isqrt(b * b * d - 1) - 1) // c
+
+
 def _radical_diff_sign(p: int, d1: int, q: int, d2: int) -> int:
     """Sign of p*sqrt(d1) - q*sqrt(d2)."""
     if p == 0:
@@ -239,9 +251,7 @@ class ExactReal:
     def floor(self) -> int:
         if self.d == 0:
             return self.a // self.c
-        s = math.isqrt(self.b * self.b * self.d)
-        num = self.a + s if self.b > 0 else self.a - s - 1
-        m = num // self.c
+        m = _floor_quadratic(self.a, self.b, self.c, self.d)
         while self._cmp_int(m + 1) >= 0:
             m += 1
         while self._cmp_int(m) < 0:

@@ -31,6 +31,7 @@ from .words import (
     DEFAULT_STABILIZE_CAP,
     BinaryWord,
     DirectiveSequence,
+    PalindromicTree,
     _factors,
     characteristic_prefix,
     standard_words,
@@ -64,81 +65,6 @@ DEFAULT_PROFILE_CAP = 200_000
 def is_palindrome(w: BinaryWord) -> bool:
     raw = w.raw
     return raw == raw[::-1]
-
-
-class _PalNode:
-    __slots__ = ("length", "link", "edges")
-
-    def __init__(self, length: int, link):
-        self.length = length
-        self.link = link
-        self.edges: dict[int, _PalNode] = {}
-
-
-class PalindromicTree:
-    """Eertree over a growing word of 0/1 symbols.
-
-    One node per distinct nonempty palindromic factor, plus the two
-    roots (lengths -1 and 0).  Suffix links point to the longest proper
-    palindromic suffix.
-    """
-
-    def __init__(self, word: BinaryWord | None = None):
-        self._word = bytearray()
-        root_neg = _PalNode(-1, None)
-        root_neg.link = root_neg
-        root_zero = _PalNode(0, root_neg)
-        self._root_zero = root_zero
-        self._nodes = [root_neg, root_zero]
-        self._last = root_zero
-        if word is not None:
-            self.extend(word)
-
-    def _fall(self, node: _PalNode, pos: int) -> _PalNode:
-        word = self._word
-        while True:
-            idx = pos - node.length - 1
-            if idx >= 0 and word[idx] == word[pos]:
-                return node
-            node = node.link
-
-    def add(self, symbol: int) -> bool:
-        """Append one symbol; True iff a new palindrome appeared."""
-        self._word.append(symbol)
-        pos = len(self._word) - 1
-        node = self._fall(self._last, pos)
-        existing = node.edges.get(symbol)
-        if existing is not None:
-            self._last = existing
-            return False
-        fresh = _PalNode(node.length + 2, None)
-        if fresh.length == 1:
-            fresh.link = self._root_zero
-        else:
-            fresh.link = self._fall(node.link, pos).edges[symbol]
-        node.edges[symbol] = fresh
-        self._nodes.append(fresh)
-        self._last = fresh
-        return True
-
-    def extend(self, word: BinaryWord) -> None:
-        for symbol in word.raw:
-            self.add(symbol)
-
-    @property
-    def distinct_count(self) -> int:
-        """Number of distinct nonempty palindromic factors so far."""
-        return len(self._nodes) - 2
-
-    def suffix_palindrome_lengths(self) -> list[int]:
-        """Lengths of all palindromic suffixes of the current word,
-        longest first."""
-        out = []
-        node = self._last
-        while node.length > 0:
-            out.append(node.length)
-            node = node.link
-        return out
 
 
 def palindrome_factor_count(
@@ -488,20 +414,18 @@ def zd_max_gap(
 def _pal_lengths(raw: bytes) -> list[int]:
     """dp[i] = palindromic length of raw[:i], for i = 0..len(raw): one
     plus the least dp before any palindromic suffix, each suffix read
-    off the eertree's suffix links."""
+    off the eertree's suffix links (nodes 0 and 1 are its roots)."""
     tree = PalindromicTree()
-    add = tree.add
+    length, link = tree._len, tree._link
     dp = [0] * (len(raw) + 1)
-    for i, symbol in enumerate(raw, 1):
-        add(symbol)
-        node = tree._last
-        short = dp[i - node.length]
-        node = node.link
-        while node.length > 0:
-            prev = dp[i - node.length]
+    for i, node in enumerate(tree._feed(raw), 1):
+        short = dp[i - length[node]]
+        node = link[node]
+        while node > 1:
+            prev = dp[i - length[node]]
             if prev < short:
                 short = prev
-            node = node.link
+            node = link[node]
         dp[i] = short + 1
     return dp
 

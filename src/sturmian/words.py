@@ -4,7 +4,9 @@ Mechanical and rotation words are generated from exact slope/intercept
 parameters; standard and characteristic words come from a directive
 sequence.  Also here: factor sets and factor counts read off a prefix
 of proved length, the balance test with counterexample witness, block
-partitions of characteristic words, and a power-freeness check.
+partitions of characteristic words, a power-freeness check, and the
+eertree of palindromic factors that the balance test and the
+palindrome tools share.
 
 A word is stored one symbol per byte (values 0 and 1) and can be
 rendered over {0,1} or {a,b} with the fixed letter coding 0 <-> a,
@@ -16,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .exactnum import ContinuedFraction, ExactReal, MixedRadicalError, compare
+from .exactnum import (
+    ContinuedFraction,
+    ExactReal,
+    MixedRadicalError,
+    _floor_quadratic,
+    compare,
+)
 
 __all__ = [
     "BinaryWord",
@@ -30,6 +38,7 @@ __all__ = [
     "characteristic_factor_count",
     "is_balanced",
     "balance_witness",
+    "PalindromicTree",
     "n_partition",
     "has_kth_power",
     "DEFAULT_STABILIZE_CAP",
@@ -334,25 +343,31 @@ def mechanical_word(params: MechanicalParams, n: int) -> BinaryWord:
     """First n symbols of the mechanical word, indexed from 0.
 
     The lower flavor takes differences of floors of k*sigma + rho; the
-    upper flavor takes differences of ceilings.
+    upper flavor takes differences of ceilings, ceil(t) = -floor(-t).
+    When sigma and rho share a field, k*sigma + rho is (A_k + B_k
+    sqrt(d)) / C with plain integers, so each floor is one integer
+    square root; otherwise each floor is an exact sum of two fields.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    sigma, rho = params.sigma, params.rho
-    out = bytearray()
-    if params.flavor == "lower":
-        prev = _sum_floor(ExactReal(0), rho)
-        for k in range(1, n + 1):
-            cur = _sum_floor(sigma * k, rho)
-            out.append(cur - prev)
-            prev = cur
+    sign = 1 if params.flavor == "lower" else -1
+    sigma, rho = params.sigma * sign, params.rho * sign
+    if sigma.d and rho.d and sigma.d != rho.d:
+        def floor_at(k):
+            return _sum_floor(sigma * k, rho)
     else:
-        # ceil(t) = -floor(-t)
-        prev = -_sum_floor(ExactReal(0), -rho)
-        for k in range(1, n + 1):
-            cur = -_sum_floor(sigma * (-k), -rho)
-            out.append(cur - prev)
-            prev = cur
+        c, d = sigma.c * rho.c, sigma.d or rho.d
+        a0, da = rho.a * sigma.c, sigma.a * rho.c
+        b0, db = rho.b * sigma.c, sigma.b * rho.c
+
+        def floor_at(k):
+            return _floor_quadratic(a0 + k * da, b0 + k * db, c, d)
+    out = bytearray()
+    prev = floor_at(0)
+    for k in range(1, n + 1):
+        cur = floor_at(k)
+        out.append(sign * (cur - prev))
+        prev = cur
     return BinaryWord._from_raw(bytes(out))
 
 
@@ -460,6 +475,92 @@ def characteristic_factor_count(
     return len(_factors(d, n, cap))
 
 
+class PalindromicTree:
+    """Eertree over a growing word of 0/1 symbols (Rubinchik and Shur,
+    "EERTREE", 2015).
+
+    One node per distinct nonempty palindromic factor, plus the two
+    roots: node 0 of length -1 and node 1 of length 0.  Nodes are ints
+    indexing parallel lists: the length, the suffix link (the longest
+    proper palindromic suffix) and, per symbol a, the child a u a of
+    node u, 0 when absent (a root is never a child).
+    """
+
+    __slots__ = ("_word", "_len", "_link", "_child", "_last")
+
+    def __init__(self, word: BinaryWord | None = None):
+        self._word = bytearray()
+        self._len = [-1, 0]
+        self._link = [0, 0]
+        self._child = ([0, 0], [0, 0])
+        self._last = 1
+        if word is not None:
+            self.extend(word)
+
+    def _feed(self, symbols):
+        """Append each symbol, yielding the node of the longest
+        palindromic suffix after it."""
+        word, length, link, child = self._word, self._len, self._link, self._child
+        node = self._last
+        for symbol in symbols:
+            word.append(symbol)
+            pos = len(word) - 1
+            while True:
+                i = pos - length[node] - 1
+                if i >= 0 and word[i] == symbol:
+                    break
+                node = link[node]
+            to = child[symbol]
+            found = to[node]
+            if not found:
+                found = len(length)
+                if node == 0:
+                    suffix = 1
+                else:
+                    suffix = link[node]
+                    while True:
+                        i = pos - length[suffix] - 1
+                        if i >= 0 and word[i] == symbol:
+                            break
+                        suffix = link[suffix]
+                    suffix = to[suffix]
+                length.append(length[node] + 2)
+                link.append(suffix)
+                child[0].append(0)
+                child[1].append(0)
+                to[node] = found
+            node = self._last = found
+            yield node
+
+    def add(self, symbol: int) -> bool:
+        """Append one symbol; True iff a new palindrome appeared."""
+        if symbol not in (0, 1):
+            raise ValueError("symbols must be 0 or 1")
+        size = len(self._len)
+        for _ in self._feed((symbol,)):
+            pass
+        return len(self._len) > size
+
+    def extend(self, word: BinaryWord) -> None:
+        for _ in self._feed(word.raw):
+            pass
+
+    @property
+    def distinct_count(self) -> int:
+        """Number of distinct nonempty palindromic factors so far."""
+        return len(self._len) - 2
+
+    def suffix_palindrome_lengths(self) -> list[int]:
+        """Lengths of all palindromic suffixes of the current word,
+        longest first."""
+        out = []
+        node = self._last
+        while node > 1:
+            out.append(self._len[node])
+            node = self._link[node]
+        return out
+
+
 def is_balanced(w: BinaryWord) -> bool:
     """True iff, for every window length, the counts of symbol 1 over all
     windows of that length spread by at most 1."""
@@ -469,30 +570,38 @@ def is_balanced(w: BinaryWord) -> bool:
 def balance_witness(w: BinaryWord):
     """None if w is balanced; otherwise (1, u, v): two equal-length
     factors u, v whose counts of symbol 1 differ by at least 2, the
-    1-poorer factor first."""
+    1-poorer factor first.
+
+    w is unbalanced iff, for some palindrome p, both 0p0 and 1p1 are
+    factors (Lothaire, "Algebraic Combinatorics on Words", 2002,
+    Prop. 2.1.3), and the shortest windows whose counts spread by 2
+    have length |p| + 2 for the shortest such p.  The eertree of w
+    lists p as the shortest node with both children; one scan of the
+    windows of that length returns the first poorest and the first
+    richest.
+    """
     raw = w.raw
-    n = len(raw)
-    prefix = [0] * (n + 1)
-    acc = 0
-    for i, v in enumerate(raw):
-        acc += v
-        prefix[i + 1] = acc
-    for ell in range(2, n):
-        lo, lo_at = ell + 1, -1
-        hi, hi_at = -1, -1
-        for i in range(n - ell + 1):
-            v = prefix[i + ell] - prefix[i]
-            if v < lo:
-                lo, lo_at = v, i
-            if v > hi:
-                hi, hi_at = v, i
-        if hi - lo > 1:
-            return (
-                1,
-                BinaryWord._from_raw(raw[lo_at : lo_at + ell]),
-                BinaryWord._from_raw(raw[hi_at : hi_at + ell]),
-            )
-    return None
+    tree = PalindromicTree(w)
+    to0, to1 = tree._child
+    ell = min(
+        (tree._len[u] + 2 for u in range(1, len(to0)) if to0[u] and to1[u]),
+        default=None,
+    )
+    if ell is None:
+        return None
+    lo = hi = acc = raw[:ell].count(1)
+    lo_at = hi_at = 0
+    for i in range(1, len(raw) - ell + 1):
+        acc += raw[i + ell - 1] - raw[i - 1]
+        if acc < lo:
+            lo, lo_at = acc, i
+        if acc > hi:
+            hi, hi_at = acc, i
+    return (
+        1,
+        BinaryWord._from_raw(raw[lo_at : lo_at + ell]),
+        BinaryWord._from_raw(raw[hi_at : hi_at + ell]),
+    )
 
 
 def n_partition(d: DirectiveSequence, m: int, length: int) -> list[int]:

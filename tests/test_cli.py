@@ -234,6 +234,35 @@ class TestErrorsAndCaps:
         )
         assert (r.returncode, r.stdout) == (0, "136\n")
 
+    def test_standard_past_finite_directive(self):
+        r = run_cli("generate", "standard", "--d", "1,2,3", "--n", "5")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: --n: directive sequence has only 3 digits\n"
+        ok = run_cli("generate", "standard", "--d", "1,2,3", "--n", "3")
+        assert ok.returncode == 0
+
+    def test_decode_past_finite_directive(self):
+        r = run_cli("ostrowski", "decode", "--d", "1,2", "--digits", "11111")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: --digits: directive sequence has only 2 digits\n"
+        ok = run_cli("ostrowski", "decode", "--d", "1,2", "--digits", "11")
+        assert ok.returncode == 0
+        r = run_cli("ostrowski", "valid", "--d", "1,2", "--digits", "11111")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: --digits: directive sequence has only 2 digits\n"
+
+    def test_balanced_default_cap(self):
+        r = run_cli("count", "balanced", "--n", "41")
+        assert r.returncode == 1
+        assert r.stderr == (
+            "error: balanced-word enumeration is capped at length 40, got 41\n"
+        )
+        r = run_cli("count", "balanced", "--n", "23")
+        assert (r.returncode, r.stdout) == (0, "1406\n")
+
     def test_bad_env_cap(self):
         r = run_cli(
             "count", "balanced", "--n", "4", env_extra={"STURM_CAP": "zero"}

@@ -73,7 +73,7 @@ class TestBalancedOracle:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            balanced_count(23)
+            balanced_count(41)
         with pytest.raises(CapExceededError):
             balanced_count(10, cap=9)
 

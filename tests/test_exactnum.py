@@ -9,6 +9,7 @@ from sturmian.exactnum import (
     ContinuedFraction,
     ExactReal,
     MixedRadicalError,
+    _floor_quadratic,
     cf_expand,
     cf_value,
     compare,
@@ -123,6 +124,26 @@ def test_floor_brackets_value_random():
         )
         f = x.floor()
         assert ExactReal.rational(f) <= x < ExactReal.rational(f + 1)
+
+
+def test_integer_floor_matches_bracketing():
+    # _floor_quadratic(a, b, c, d) is the m with m <= x < m + 1 for
+    # x = (a + b sqrt(d)) / c, decided here by ExactReal._cmp_int
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        a = rng.randint(-10**6, 10**6)
+        b = rng.choice([0, rng.randint(-10**4, 10**4)])
+        c = rng.randint(1, 10**3)
+        d = rng.choice([0, 2, 3, 5, 6, 7, 13, 9973, rng.randint(2, 10**6)])
+        m = _floor_quadratic(a, b, c, d)
+        x = ExactReal(a, b, c, d)
+        assert x._cmp_int(m) >= 0 and x._cmp_int(m + 1) < 0
+        assert m == x.floor()
+    # perfect squares (unnormalized radicands) are exact too
+    for a, b, c, d in [(0, -1, 1, 4), (1, -3, 2, 9), (5, 2, 3, 16), (-7, -1, 7, 1)]:
+        x = ExactReal(a, b, c, d)
+        m = _floor_quadratic(a, b, c, d)
+        assert x._cmp_int(m) >= 0 and x._cmp_int(m + 1) < 0
 
 
 def test_float_accuracy():

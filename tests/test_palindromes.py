@@ -76,6 +76,44 @@ class TestTree:
                 assert tree.suffix_palindrome_lengths() == suffixes
             assert PalindromicTree(word).distinct_count == tree.distinct_count
 
+    def test_matches_naive_enumeration_longer_words(self):
+        # every prefix's palindromic suffixes, listed by slicing, give
+        # the distinct palindromes seen so far and the new one, if any
+        rng = random.Random(271828)
+        words = [bytes(rng.randrange(2) for _ in range(rng.randrange(90))) for _ in range(40)]
+        for text in ("fib", "2,(2)", "0,(4)", "3,(1,1,5)"):
+            words.append(characteristic_prefix(DirectiveSequence.parse(text), 120).raw)
+        for raw in words:
+            tree = PalindromicTree()
+            seen = set()
+            for stop in range(1, len(raw) + 1):
+                prefix = raw[:stop]
+                suffixes = [
+                    stop - i for i in range(stop) if prefix[i:] == prefix[i:][::-1]
+                ]
+                grew = prefix[stop - suffixes[0] :] not in seen
+                seen.update(prefix[stop - ell :] for ell in suffixes)
+                assert tree.add(raw[stop - 1]) == grew
+                assert tree.distinct_count == len(seen)
+                assert tree.suffix_palindrome_lengths() == suffixes
+            assert PalindromicTree(BinaryWord(raw)).distinct_count == len(seen)
+
+    def test_reexported_names(self):
+        import sturmian
+        import sturmian.palindromes
+        import sturmian.words
+
+        assert sturmian.PalindromicTree is sturmian.words.PalindromicTree
+        assert sturmian.palindromes.PalindromicTree is sturmian.words.PalindromicTree
+        for cls in (sturmian.PalindromicTree, sturmian.palindromes.PalindromicTree):
+            tree = cls(bw("abaabb"))
+            assert tree.distinct_count == 6
+            assert tree.suffix_palindrome_lengths() == [2, 1]
+            assert tree.add(0) is True
+            with pytest.raises(ValueError):
+                tree.add(2)
+            assert tree.distinct_count == 7
+
     def test_richness_bound(self):
         rng = random.Random(5)
         for _ in range(50):

@@ -8,6 +8,7 @@ from sturmian.errors import CapExceededError
 from sturmian.exactnum import ExactReal, parse_real
 from sturmian.ostrowski import standard_lengths
 from sturmian.words import (
+    _sum_floor,
     BinaryWord,
     DirectiveSequence,
     MechanicalParams,
@@ -118,6 +119,26 @@ class TestDirectiveSequence:
         assert DirectiveSequence.parse("1,1").slope() == ExactReal.rational(1, 3)
 
 
+def oracle_mechanical_word(params, n):
+    """One exact floor (or ceiling) of k*sigma + rho per symbol, by
+    _sum_floor, which works in one field or across two."""
+    sigma, rho = params.sigma, params.rho
+    if params.flavor == "lower":
+        values = [_sum_floor(sigma * k, rho) for k in range(n + 1)]
+    else:
+        values = [-_sum_floor(sigma * (-k), -rho) for k in range(n + 1)]
+    return BinaryWord([values[k] - values[k - 1] for k in range(1, n + 1)])
+
+
+def random_unit(rng, d):
+    """A random value in (0, 1): rational when d == 0, else in Q(sqrt(d))."""
+    while True:
+        c = rng.randint(1, 40)
+        x = ExactReal(rng.randint(-60, 60), rng.randint(-9, 9) if d else 0, c, d)
+        if ExactReal(0) < x < ExactReal(1):
+            return x
+
+
 class TestMechanical:
     def test_fibonacci_slope_prefix(self):
         sigma = ExactReal(3, -1, 2, 5)
@@ -201,6 +222,45 @@ class TestMechanical:
         )
         for n in range(1, 16):
             assert factor_set(w1, n) == factor_set(w2, n)
+
+    def test_matches_per_symbol_floors(self):
+        rng = random.Random(4242)
+        zero = ExactReal.rational(0)
+        fields = [2, 3, 5, 7, 13]
+        for case in range(240):
+            d = rng.choice(fields)
+            sigma = random_unit(rng, d)
+            kind = case % 4
+            if kind == 0:  # rho in sigma's field
+                rho = random_unit(rng, d)
+            elif kind == 1:  # rational rho
+                rho = random_unit(rng, 0)
+            elif kind == 2:
+                rho = zero
+            else:  # rho in another field
+                rho = random_unit(rng, rng.choice([f for f in fields if f != d]))
+            if rng.randrange(8) == 0:  # rational slope
+                sigma = random_unit(rng, 0)
+            for flavor in ("lower", "upper"):
+                params = MechanicalParams(sigma=sigma, rho=rho, flavor=flavor)
+                n = rng.randrange(120)
+                assert mechanical_word(params, n) == oracle_mechanical_word(params, n)
+
+    def test_mixed_fields_long(self):
+        sigma = parse_real("sqrt(7)/7")
+        rho = parse_real("(-1+sqrt(2))")
+        for flavor in ("lower", "upper"):
+            params = MechanicalParams(sigma=sigma, rho=rho, flavor=flavor)
+            w = mechanical_word(params, 500)
+            assert w == oracle_mechanical_word(params, 500)
+            assert is_balanced(w)
+
+    def test_length_validation(self):
+        half = ExactReal.rational(1, 2)
+        params = MechanicalParams(sigma=half, rho=ExactReal.rational(0))
+        assert len(mechanical_word(params, 0)) == 0
+        with pytest.raises(ValueError):
+            mechanical_word(params, -1)
 
 
 class TestRotation:
@@ -433,6 +493,31 @@ class TestFactors:
             characteristic_factor_count(FIB, 5, cap=16)
 
 
+def brute_balance_witness(w):
+    """Every window length from 2 up, the first poorest and the first
+    richest window of each; the first length whose counts of symbol 1
+    spread by 2 or more gives the witness."""
+    raw = w.raw
+    n = len(raw)
+    prefix = [0] * (n + 1)
+    acc = 0
+    for i, v in enumerate(raw):
+        acc += v
+        prefix[i + 1] = acc
+    for ell in range(2, n):
+        lo, lo_at = ell + 1, -1
+        hi, hi_at = -1, -1
+        for i in range(n - ell + 1):
+            v = prefix[i + ell] - prefix[i]
+            if v < lo:
+                lo, lo_at = v, i
+            if v > hi:
+                hi, hi_at = v, i
+        if hi - lo > 1:
+            return (1, w[lo_at : lo_at + ell], w[hi_at : hi_at + ell])
+    return None
+
+
 class TestBalance:
     def test_unbalanced_example(self):
         w = bw("0011")
@@ -464,6 +549,48 @@ class TestBalance:
     def test_characteristic_prefixes_balanced(self):
         for d in (FIB, D2):
             assert is_balanced(characteristic_prefix(d, 150))
+
+    def test_edge_cases_match_window_scan(self):
+        for text in ("", "0", "1", "01", "0011", "0110", "1001", "00", "0101"):
+            w = bw(text)
+            assert balance_witness(w) == brute_balance_witness(w)
+        assert balance_witness(bw("0011")) == (1, bw("00"), bw("11"))
+        assert balance_witness(bw("0110")) is None
+
+    def test_random_words_match_window_scan(self):
+        rng = random.Random(31337)
+        for _ in range(1000):
+            n = rng.randint(0, 40)
+            w = BinaryWord([rng.randint(0, 1) for _ in range(n)])
+            assert balance_witness(w) == brute_balance_witness(w)
+
+    def test_sturmian_factors_match_window_scan(self):
+        # factors of characteristic words are balanced; one flipped
+        # symbol usually is not
+        rng = random.Random(1618)
+        checked = 0
+        for text in ("fib", "2,(2)", "0,(4)", "3,(1,1,5)", "200,(1)"):
+            raw = characteristic_prefix(DirectiveSequence.parse(text), 600).raw
+            for _ in range(120):
+                n = rng.randint(1, 60)
+                start = rng.randrange(len(raw) - n)
+                factor = bytearray(raw[start : start + n])
+                w = BinaryWord(bytes(factor))
+                assert balance_witness(w) is None
+                assert brute_balance_witness(w) is None
+                factor[rng.randrange(n)] ^= 1
+                w = BinaryWord(bytes(factor))
+                assert balance_witness(w) == brute_balance_witness(w)
+                checked += 2
+        assert checked == 1200
+
+    def test_long_prefix_is_balanced(self):
+        assert is_balanced(characteristic_prefix(FIB, 20_000))
+        raw = bytearray(characteristic_prefix(D2, 20_000).raw)
+        raw[12_345] ^= 1
+        letter, lo, hi = balance_witness(BinaryWord(bytes(raw)))
+        assert letter == 1 and len(lo) == len(hi)
+        assert hi.count(1) - lo.count(1) == 2
 
 
 class TestNPartition:
