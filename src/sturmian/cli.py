@@ -4,7 +4,7 @@ Verbs: generate (mechanical | rotation | characteristic | standard |
 central), count (sturmian | balanced | rotation-faces | rotation-words
 | palindrome-factors), ostrowski (encode | decode | legal | valid |
 enumerate), pal (length | profile | rich | starting-at), verify (tpr |
-zd | h-pattern | balanced-vs-formula | rotation-formula | hard-prefix).
+zd | h-pattern | balanced-vs-formula | hard-prefix).
 
 Exit status: 0 success, 1 usage error or cap refusal, 2 verification
 failure.  Output goes to stdout in the requested format (text, csv, or
@@ -193,15 +193,6 @@ def _word_argument(args) -> BinaryWord:
     return characteristic_prefix(_directive(args.d), args.length)
 
 
-def _within(fn, flag: str, *args):
-    """fn(*args), with the IndexError a finite directive raises past its
-    last digit reported as a usage error on `flag`."""
-    try:
-        return fn(*args)
-    except IndexError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-
-
 def _positive(value: int, flag: str) -> int:
     if value < 1:
         raise ValueError(f"{flag} must be positive, got {value}")
@@ -241,7 +232,11 @@ def _cmd_generate_characteristic(args) -> int:
 def _cmd_generate_standard(args) -> int:
     if args.n < -1:
         raise ValueError(f"--n must be at least -1, got {args.n}")
-    words = _within(standard_words, "--n", _directive(args.d), args.n)
+    d = _directive(args.d)
+    try:
+        words = standard_words(d, args.n)
+    except IndexError as exc:  # past the last digit of a finite directive
+        raise ValueError(f"--n: {exc}") from None
     rows = [
         (idx - 1, word.to_string(args.alphabet))
         for idx, word in enumerate(words)
@@ -309,15 +304,22 @@ def _cmd_ostrowski_encode(args) -> int:
 
 
 def _parse_digits(text: str, d: DirectiveSequence) -> OstrowskiRep:
+    """The vector of --digits; digit i needs d_i, so a vector longer
+    than a finite directive is refused."""
     try:
-        return OstrowskiRep.parse(text, d)
+        rep = OstrowskiRep.parse(text, d)
     except ValueError as exc:
         raise ValueError(f"--digits: {exc}") from None
+    if d.is_finite and len(rep.digits) > len(d.explicit):
+        raise ValueError(
+            f"--digits: directive sequence has only {len(d.explicit)} digits"
+        )
+    return rep
 
 
 def _cmd_ostrowski_decode(args) -> int:
     rep = _parse_digits(args.digits, _directive(args.d))
-    _emit_scalar(args.format, _within(decode, "--digits", rep))
+    _emit_scalar(args.format, decode(rep))
     return 0
 
 
@@ -329,7 +331,7 @@ def _cmd_ostrowski_legal(args) -> int:
 
 def _cmd_ostrowski_valid(args) -> int:
     rep = _parse_digits(args.digits, _directive(args.d))
-    _emit_scalar(args.format, _within(is_valid, "--digits", rep))
+    _emit_scalar(args.format, is_valid(rep))
     return 0
 
 
@@ -376,67 +378,59 @@ def _cmd_pal_starting_at(args) -> int:
     return 0
 
 
+_TPR_HEADERS = ["p1", "p2", "rep_p1", "m", "y_m", "rep_p2", "fallback_used",
+                "status"]
+# the csv cells of an occurrence without a witness
+_NO_WITNESS = {"rep_p1": "", "m": -1, "y_m": -1, "rep_p2": "",
+               "fallback_used": False}
+
+
 def _cmd_verify_tpr(args) -> int:
     d = _directive(args.d)
     cap = _resolve_cap(args.cap, DEFAULT_ENUM_CAP)
     pmax = _positive(args.pmax, "--pmax")
+    if pmax > cap:
+        raise CapExceededError(f"--pmax is capped at {cap}, got {pmax}")
     raw = characteristic_prefix(d, pmax).raw
     rev = raw[::-1]
     total = len(raw)
-    headers = ["p1", "p2", "rep_p1", "m", "y_m", "rep_p2", "fallback_used",
-               "status"]
-    rows = []
     records = []
-    failures = 0
-    fallbacks = 0
     for p2 in range(1, pmax + 1):
         for p1 in range(p2):
             if raw[p1:p2] != rev[total - p2 : total - p1]:
                 continue
-            occ = PalindromeOccurrence(d, p1, p2)
             try:
-                wit = occurrence_witness(occ, enum_cap=cap)
+                wit = occurrence_witness(PalindromeOccurrence(d, p1, p2))
             except TheoremViolationError:
-                failures += 1
-                rows.append((p1, p2, "", -1, -1, "", False, "FAIL"))
                 records.append({"p1": p1, "p2": p2, "status": "FAIL"})
                 continue
-            if wit.fallback_used:
-                fallbacks += 1
-            rec = wit.to_record()
-            rows.append(
-                (
-                    rec["p1"],
-                    rec["p2"],
-                    rec["rep_p1"],
-                    rec["m"],
-                    rec["y_m"],
-                    rec["rep_p2"],
-                    rec["fallback_used"],
-                    "ok",
-                )
-            )
-            records.append(rec)
+            records.append(wit.to_record())
+    failures = sum(rec.get("status") == "FAIL" for rec in records)
+    fallbacks = sum(rec.get("fallback_used", False) for rec in records)
     passed = failures == 0
+    if args.format == "csv":
+        rows = [
+            [{**_NO_WITNESS, "status": "ok", **rec}[h] for h in _TPR_HEADERS]
+            for rec in records
+        ]
+        return _emit_verify("csv", "tpr", _TPR_HEADERS, rows, passed)
     if args.format == "json":
         doc = {
             "schema": 1,
             "verify": "tpr",
             "pass": passed,
-            "occurrences": len(rows),
+            "occurrences": len(records),
             "fallbacks": fallbacks,
             "records": records,
         }
         print(json.dumps(doc, sort_keys=True))
-        return 0 if passed else 2
-    if args.format == "text":
+    else:
         for rec in records:
             print(json.dumps(rec, sort_keys=True))
-        print(f"occurrences={len(rows)} fallbacks={fallbacks} "
+        print(f"occurrences={len(records)} fallbacks={fallbacks} "
               f"failures={failures}")
         print("pass" if passed else "fail")
-        return 0 if passed else 2
-    return _emit_verify(args.format, "tpr", headers, rows, passed)
+    return 0 if passed else 2
 
 
 def _cmd_verify_zd(args) -> int:
@@ -494,33 +488,6 @@ def _cmd_verify_balanced_vs_formula(args) -> int:
     return _emit_verify(
         args.format, "balanced-vs-formula", headers, rows, passed
     )
-
-
-def _cmd_verify_rotation_formula(args) -> int:
-    sigma = _real(args.sigma, "--sigma")
-    cap = _resolve_cap(args.cap, DEFAULT_SWEEP_CAP)
-    try:
-        lengths = [int(part) for part in args.lengths.split(",") if part]
-    except ValueError:
-        raise ValueError(
-            f"--lengths: expected comma-separated integers, "
-            f"got {args.lengths!r}"
-        ) from None
-    if not lengths:
-        raise ValueError("--lengths: at least one length is required")
-    rows = []
-    passed = True
-    for n in lengths:
-        order = _positive(n, "--lengths") - 1
-        faces = rotation_face_count(order) if order >= 1 else 2
-        shift = 7 if order % 2 == 0 else 8
-        expected = faces // 2 - shift
-        got = rotation_word_count(sigma, n, cap=cap)
-        ok = got == expected
-        passed = passed and ok
-        rows.append((n, got, faces, expected, "ok" if ok else "FAIL"))
-    headers = ["n", "words", "faces", "expected", "status"]
-    return _emit_verify(args.format, "rotation-formula", headers, rows, passed)
 
 
 def _cmd_verify_hard_prefix(args) -> int:
@@ -683,7 +650,8 @@ def _build_parser() -> _Parser:
     v = ver.add_parser("tpr", parents=[common])
     v.add_argument("--d", required=True)
     v.add_argument("--pmax", type=int, required=True)
-    v.add_argument("--cap", type=int)
+    v.add_argument("--cap", type=int,
+                   help=f"largest --pmax (default {DEFAULT_ENUM_CAP})")
     v.set_defaults(func=_cmd_verify_tpr)
 
     v = ver.add_parser("zd", parents=[common])
@@ -702,13 +670,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--nmax", type=int, required=True)
     v.add_argument("--cap", type=int)
     v.set_defaults(func=_cmd_verify_balanced_vs_formula)
-
-    v = ver.add_parser("rotation-formula", parents=[common])
-    v.add_argument("--sigma", required=True)
-    v.add_argument("--lengths", required=True,
-                   help="comma-separated word lengths")
-    v.add_argument("--cap", type=int)
-    v.set_defaults(func=_cmd_verify_rotation_formula)
 
     v = ver.add_parser("hard-prefix", parents=[common])
     v.add_argument("--d", required=True)

@@ -2,8 +2,8 @@
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration or a prefix would exceed its configured cap."""
+    """An enumeration, a scan or a prefix would exceed its configured cap."""
 
 
 class TheoremViolationError(RuntimeError):
-    """An exhaustive verifier found no witness where one is guaranteed."""
+    """A verifier found no witness where the theorem promises one."""

@@ -137,30 +137,47 @@ class TestVerify:
         gap, bound, n = r.stdout.splitlines()[0].split("\t")[:3]
         assert (gap, n) == ("2", "14")
 
-    def test_rotation_formula_small_lengths_fail(self):
-        r = run_cli(
-            "verify", "rotation-formula", "--sigma", "sqrt(7)/7",
-            "--lengths", "3",
-        )
-        assert r.returncode == 2
-        assert r.stdout.rstrip("\n").splitlines()[-1] == "fail"
-
-    def test_rotation_formula_passing_range(self):
-        r = run_cli(
-            "verify", "rotation-formula", "--sigma", "sqrt(7)/7",
-            "--lengths", "9", "--format", "json",
-        )
-        assert r.returncode == 0
-        payload = json.loads(r.stdout)
-        assert payload["pass"] is True
-        assert payload["rows"][0]["words"] == 189
-
     def test_tpr(self):
         r = run_cli("verify", "tpr", "--d", "fib", "--pmax", "40")
         assert r.returncode == 0
         lines = r.stdout.rstrip("\n").splitlines()
         assert lines[-2] == "occurrences=152 fallbacks=7 failures=0"
         assert lines[-1] == "pass"
+
+    def test_tpr_csv_rows_match_json_records(self):
+        args = ("verify", "tpr", "--d", "2,(2)", "--pmax", "30")
+        doc = json.loads(run_cli(*args, "--format", "json").stdout)
+        lines = run_cli(*args, "--format", "csv").stdout.splitlines()
+        assert lines[0] == "p1,p2,rep_p1,m,y_m,rep_p2,fallback_used,status"
+        assert lines[-1] == "pass"
+        rows = lines[1:-1]
+        assert len(rows) == doc["occurrences"] == len(doc["records"])
+        for row, rec in zip(rows, doc["records"]):
+            flag = "true" if rec["fallback_used"] else "false"
+            assert row == (
+                f"{rec['p1']},{rec['p2']},{rec['rep_p1']},{rec['m']},"
+                f"{rec['y_m']},{rec['rep_p2']},{flag},ok"
+            )
+
+    def test_tpr_cap_bounds_pmax(self):
+        r = run_cli(
+            "verify", "tpr", "--d", "fib", "--pmax", "51",
+            env_extra={"STURM_CAP": "50"},
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: --pmax is capped at 50, got 51\n"
+        r = run_cli(
+            "verify", "tpr", "--d", "fib", "--pmax", "50",
+            env_extra={"STURM_CAP": "50"},
+        )
+        assert r.returncode == 0
+        assert r.stdout.splitlines()[-1] == "pass"
+
+    def test_tpr_default_cap(self):
+        r = run_cli("verify", "tpr", "--d", "fib", "--pmax", "5001")
+        assert r.returncode == 1
+        assert r.stderr == "error: --pmax is capped at 5000, got 5001\n"
 
     def test_h_pattern(self):
         r = run_cli("verify", "h-pattern", "--d", "fib", "--nmax", "8")
@@ -253,6 +270,32 @@ class TestErrorsAndCaps:
         assert r.returncode == 1
         assert r.stdout == ""
         assert r.stderr == "error: --digits: directive sequence has only 2 digits\n"
+
+    def _refuses_third_digit(self, verb):
+        # digit 2 of 1,2 has no d_2: refused even where q_2 exists
+        r = run_cli("ostrowski", verb, "--d", "1,2", "--digits", "100")
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: --digits: directive sequence has only 2 digits\n"
+        # leading zeros are not digits
+        return run_cli("ostrowski", verb, "--d", "1,2", "--digits", "0011")
+
+    def test_decode_digits_contract(self):
+        assert self._refuses_third_digit("decode").stdout == "3\n"
+
+    def test_legal_digits_contract(self):
+        assert self._refuses_third_digit("legal").stdout == "true\n"
+        r = run_cli("ostrowski", "legal", "--d", "1,2", "--digits", "11111")
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: --digits: directive sequence has only 2 digits\n"
+
+    def test_valid_digits_contract(self):
+        assert self._refuses_third_digit("valid").stdout == "true\n"
+
+    def test_rotation_formula_removed(self):
+        r = run_cli("verify", "rotation-formula", "--sigma", "sqrt(7)/7",
+                    "--lengths", "9")
+        assert r.returncode == 1
+        assert r.stdout == ""
 
     def test_balanced_default_cap(self):
         r = run_cli("count", "balanced", "--n", "41")

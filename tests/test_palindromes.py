@@ -11,6 +11,8 @@ from sturmian.errors import CapExceededError
 from sturmian.ostrowski import (
     OstrowskiRep,
     decode,
+    encode,
+    enumerate_legal_reps,
     enumerate_valid_reps,
     is_legal,
     is_valid,
@@ -25,6 +27,7 @@ from sturmian.palindromes import (
     is_palindrome,
     maximal_palindromic_extension,
     occurrence_witness,
+    OccurrenceWitness,
     pal_length,
     pal_length_profile,
     palindrome_factor_count,
@@ -259,6 +262,63 @@ class TestExtension:
                     assert factor == characteristic_prefix(d, len(factor))
 
 
+def palindromic_occurrences(d, pmax):
+    raw = characteristic_prefix(d, pmax).raw
+    for p2 in range(1, pmax + 1):
+        for p1 in range(p2):
+            if raw[p1:p2] == raw[p1:p2][::-1]:
+                yield PalindromeOccurrence(d, p1, p2)
+
+
+def mirror(x, m, y, d):
+    """d_i - x_i below the pivot m, y at it, x_i above it."""
+    digits = [d.digit(i) - x.digit(i) for i in range(m)] + [y]
+    digits += [x.digit(i) for i in range(m + 1, len(x.digits))]
+    return OstrowskiRep(d, tuple(digits))
+
+
+def brute_occurrence_witness(occ):
+    """Every legal vector of p1, in rep_sort_key order, crossed with
+    every pivot m whose q_m + q_{m-1} <= p1 + p2 + 2 and whose d_m
+    exists: the first mirror that decodes to p2 and is valid, marked
+    fallback_used as the exhaustive search marks it; None if there is
+    none."""
+    d, p1, p2 = occ.d, occ.p1, occ.p2
+    top = 0
+    try:
+        while d.q(top) + d.q(top - 1) <= p1 + p2 + 2:
+            d.digit(top)
+            top += 1
+    except IndexError:
+        pass
+    for x in sorted(enumerate_legal_reps(p1, d), key=rep_sort_key):
+        for m in range(top):
+            y, rem = divmod(p2 - decode(mirror(x, m, 0, d)), d.q(m))
+            if rem or y < 0:
+                continue
+            rep_p2 = mirror(x, m, y, d)
+            if is_valid(rep_p2):
+                return OccurrenceWitness(p1, p2, x, m, y, rep_p2, True)
+    return None
+
+
+def check_witness(w, occ):
+    """The witness shape: canonical start, its mirror the end."""
+    d = occ.d
+    assert (w.p1, w.p2) == (occ.p1, occ.p2)
+    assert w.rep_p1 == encode(occ.p1, d)
+    assert w.y_m >= 0
+    assert w.rep_p2 == mirror(w.rep_p1, w.m, w.y_m, d)
+    assert decode(w.rep_p2) == occ.p2 and is_valid(w.rep_p2)
+    if w.fallback_used:
+        # pivot m would need y_m = -1: one s_m traded for
+        # s_{m-1}^{d_{m-1}} s_{m-2}
+        m, x = w.m + 2, w.rep_p1
+        assert x.digit(m - 1) == x.digit(m) == 0
+        assert w.y_m == d.digit(m - 2) - x.digit(m - 2) - 1
+        assert decode(mirror(x, m, 0, d)) - d.q(m) == occ.p2
+
+
 class TestWitness:
     def test_worked_example(self):
         w = occurrence_witness(PalindromeOccurrence(FIB, 12, 13))
@@ -277,6 +337,52 @@ class TestWitness:
         assert w.rep_p1.render() == "0"
         assert (w.m, w.y_m) == (3, 1)
         assert w.rep_p2.render() == "1111"
+        assert not w.fallback_used
+
+    def test_pivot_two_below_extension(self):
+        occ = PalindromeOccurrence(FIB, 13, 14)
+        w = occurrence_witness(occ)
+        assert w.to_record() == {
+            "p1": 13,
+            "p2": 14,
+            "rep_p1": "100000",
+            "m": 1,
+            "y_m": 0,
+            "rep_p2": "100001",
+            "fallback_used": True,
+        }
+        ext = maximal_palindromic_extension(occ)
+        assert (ext.p1, ext.p2) == (8, 19)
+        assert ext.factor() == central_word(FIB, 3, 1)
+        check_witness(w, occ)
+
+    @pytest.mark.parametrize(
+        "text", ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"]
+    )
+    def test_matches_exhaustive_oracle(self, text):
+        d = DirectiveSequence.parse(text)
+        for occ in palindromic_occurrences(d, 150):
+            assert brute_occurrence_witness(occ) is not None
+            check_witness(occurrence_witness(occ), occ)
+
+    def test_matches_exhaustive_oracle_random(self):
+        rng = random.Random(20261018)
+        for _ in range(20):
+            d = random_directive(rng)
+            for occ in palindromic_occurrences(d, 100):
+                assert brute_occurrence_witness(occ) is not None
+                check_witness(occurrence_witness(occ), occ)
+
+    def test_matches_exhaustive_oracle_finite(self):
+        # q_9 = 89; the maximal extension reads up to p1 + p2 symbols
+        d = DirectiveSequence.parse("1,1,1,1,1,1,1,1,1")
+        taken = 0
+        for occ in palindromic_occurrences(d, 44):
+            assert brute_occurrence_witness(occ) is not None
+            w = occurrence_witness(occ)
+            check_witness(w, occ)
+            taken += w.fallback_used
+        assert taken == 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
