@@ -73,6 +73,7 @@ from .palindromes import (
     is_palindrome,
     maximal_palindromic_extension,
     occurrence_witness,
+    occurrence_witnesses,
     pal_length,
     pal_length_profile,
     palindrome_factor_count,
@@ -137,6 +138,7 @@ __all__ = [
     "is_palindrome",
     "maximal_palindromic_extension",
     "occurrence_witness",
+    "occurrence_witnesses",
     "pal_length",
     "pal_length_profile",
     "palindrome_factor_count",

@@ -43,11 +43,10 @@ from .ostrowski import (
 )
 from .palindromes import (
     DEFAULT_PROFILE_CAP,
-    PalindromeOccurrence,
     central_word,
     construct_hard_prefix,
     distinct_palindromic_factors,
-    occurrence_witness,
+    occurrence_witnesses,
     pal_length,
     pal_length_profile,
     palindrome_factor_count,
@@ -391,20 +390,7 @@ def _cmd_verify_tpr(args) -> int:
     pmax = _positive(args.pmax, "--pmax")
     if pmax > cap:
         raise CapExceededError(f"--pmax is capped at {cap}, got {pmax}")
-    raw = characteristic_prefix(d, pmax).raw
-    rev = raw[::-1]
-    total = len(raw)
-    records = []
-    for p2 in range(1, pmax + 1):
-        for p1 in range(p2):
-            if raw[p1:p2] != rev[total - p2 : total - p1]:
-                continue
-            try:
-                wit = occurrence_witness(PalindromeOccurrence(d, p1, p2))
-            except TheoremViolationError:
-                records.append({"p1": p1, "p2": p2, "status": "FAIL"})
-                continue
-            records.append(wit.to_record())
+    records = list(occurrence_witnesses(d, pmax))
     failures = sum(rec.get("status") == "FAIL" for rec in records)
     fallbacks = sum(rec.get("fallback_used", False) for rec in records)
     passed = failures == 0

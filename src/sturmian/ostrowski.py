@@ -68,8 +68,8 @@ class OstrowskiRep:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        digs = tuple(int(k) for k in self.digits)
-        if any(k < 0 for k in digs):
+        digs = tuple(map(int, self.digits))
+        if digs and min(digs) < 0:
             raise ValueError("digits must be nonnegative")
         while digs and digs[-1] == 0:
             digs = digs[:-1]
@@ -88,10 +88,8 @@ class OstrowskiRep:
     def render(self) -> str:
         if not self.digits:
             return "0"
-        parts = [str(k) for k in reversed(self.digits)]
-        if any(k >= 10 for k in self.digits):
-            return ".".join(parts)
-        return "".join(parts)
+        parts = map(str, reversed(self.digits))
+        return ("." if max(self.digits) >= 10 else "").join(parts)
 
     def __str__(self) -> str:
         return self.render()
@@ -209,6 +207,19 @@ class _ValidDigitDag:
                 if prefix.startswith(w.raw, p):
                     run[p] = run[p + q] + 1
             self.runs.append(run)
+
+    def valid(self, digits) -> bool:
+        """True iff the digit vector (least significant first, decoding
+        to at most n) is a path from the root: is_valid read off the
+        run table.  Trailing zeros are allowed."""
+        runs, qs, pos = self.runs, self.qs, 0
+        for i in range(len(digits) - 1, -1, -1):
+            k = digits[i]
+            if k:
+                if i >= len(runs) or k > runs[i][pos]:
+                    return False
+                pos += k * qs[i]
+        return True
 
     def forward(self) -> list[set[int]]:
         """For each level, the positions its nodes are reached at from

@@ -7,11 +7,17 @@ mirrored around a pivot fixed by the occurrence's maximal extension,
 is a valid vector of its end), digit distances and their
 gaps, palindromic length via an eertree, and the hard-prefix
 construction that forces the palindromic length up.
+
+occurrence_witness checks one occurrence; occurrence_witnesses, the
+batch behind `verify tpr`, yields the same records for every
+occurrence up to a bound from one Manacher pass, with the witness rule
+shared between the two (see _witness).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CapExceededError, TheoremViolationError
 from .ostrowski import (
@@ -25,7 +31,7 @@ from .ostrowski import (
     rep_sort_key,
 )
 from .words import (
-    DEFAULT_STABILIZE_CAP,
+    DEFAULT_RECURRENCE_CAP,
     BinaryWord,
     DirectiveSequence,
     PalindromicTree,
@@ -44,6 +50,7 @@ __all__ = [
     "maximal_palindromic_extension",
     "OccurrenceWitness",
     "occurrence_witness",
+    "occurrence_witnesses",
     "z_vector",
     "ZdGapWitness",
     "zd_max_gap",
@@ -63,7 +70,7 @@ def is_palindrome(w: BinaryWord) -> bool:
 
 
 def palindrome_factor_count(
-    d: DirectiveSequence, n: int, cap: int = DEFAULT_STABILIZE_CAP
+    d: DirectiveSequence, n: int, cap: int = DEFAULT_RECURRENCE_CAP
 ) -> int:
     """h(n): distinct palindromic factors of length n of the
     characteristic word, read off its prefix of length
@@ -126,15 +133,37 @@ def maximal_palindromic_extension(
     occ: PalindromeOccurrence,
 ) -> PalindromeOccurrence:
     """Widen (p1..p2] one symbol on each side while the factor stays a
-    palindrome and p1 stays nonnegative."""
+    palindrome and p1 stays nonnegative.
+
+    Reads at most p1 + p2 symbols, and never past the end of a finite
+    word; ValueError if the widening reaches that end with p1 > 0,
+    where the next symbol would decide it.
+    """
     if not occ.is_palindromic():
         raise ValueError("occurrence is not palindromic")
     p1, p2 = occ.p1, occ.p2
-    raw = characteristic_prefix(occ.d, p1 + p2).raw
-    while p1 >= 1 and raw[p1 - 1] == raw[p2]:
+    raw = characteristic_prefix(occ.d, _extension_reach(occ.d, p1 + p2)).raw
+    end = len(raw)
+    while p1 >= 1 and p2 < end and raw[p1 - 1] == raw[p2]:
         p1 -= 1
         p2 += 1
+    if p1 and p2 == end:
+        raise _cut_error(occ.p1, occ.p2, end)
     return PalindromeOccurrence(occ.d, p1, p2)
+
+
+def _extension_reach(d: DirectiveSequence, length: int) -> int:
+    """length, or the whole word of a finite sequence if shorter."""
+    if d.is_finite:
+        return min(length, d.q(len(d.explicit)))
+    return length
+
+
+def _cut_error(p1: int, p2: int, end: int) -> ValueError:
+    return ValueError(
+        f"directive sequence too short to extend ({p1}..{p2}]: its "
+        f"maximal extension reaches the end of the word at {end}"
+    )
 
 
 def _central_reference(d: DirectiveSequence, length: int):
@@ -194,20 +223,32 @@ class OccurrenceWitness:
         }
 
 
-def _mirror_rep(
-    x: OstrowskiRep, m: int, y_m: int, d: DirectiveSequence
-) -> OstrowskiRep:
-    """Digits d_i - x_i below the pivot, y_m at it, x_i above it."""
-    size = max(len(x.digits), m + 1)
-    digs = []
-    for i in range(size):
-        if i < m:
-            digs.append(d.digit(i) - x.digit(i))
-        elif i == m:
-            digs.append(y_m)
-        else:
-            digs.append(x.digit(i))
-    return OstrowskiRep(d, tuple(digs))
+def _witness(p1, p2, x: OstrowskiRep, m, qs, ds, valid) -> OccurrenceWitness:
+    """The witness rule of occurrence_witness on plain lists: x is the
+    canonical vector of p1, m the level of the maximal extension's
+    central word (None if it is none), qs and ds hold q_i and d_i for
+    every level read, and valid(digits) checks a mirror's validity,
+    digits least significant first."""
+    if m is not None:
+        xs = x.digits
+        for pivot in (m, m - 2):
+            if pivot < 0:
+                break
+            digs = [ds[i] - k for i, k in enumerate(xs[:pivot])]
+            digs += ds[len(digs) : pivot]
+            digs.append(0)
+            digs += xs[pivot + 1 :]
+            y, rem = divmod(p2 - sum(map(mul, digs, qs)), qs[pivot])
+            if rem == 0 and y >= 0:
+                digs[pivot] = y
+                if valid(digs):
+                    rep_p2 = OstrowskiRep(x.d, tuple(digs))
+                    return OccurrenceWitness(
+                        p1, p2, x, pivot, y, rep_p2, pivot != m
+                    )
+    raise TheoremViolationError(
+        f"no witness exists for palindromic occurrence ({p1}..{p2}]"
+    )
 
 
 def occurrence_witness(occ: PalindromeOccurrence) -> OccurrenceWitness:
@@ -244,23 +285,91 @@ def occurrence_witness(occ: PalindromeOccurrence) -> OccurrenceWitness:
     d = occ.d
     ext = maximal_palindromic_extension(occ)
     ref = _central_reference(d, ext.p2 - ext.p1)
-    if ref is not None:
-        m = ref[0]
-        x = encode(occ.p1, d)
-        for pivot in (m, m - 2):
-            if pivot < 0:
-                break
-            rest = occ.p2 - decode(_mirror_rep(x, pivot, 0, d))
-            y, rem = divmod(rest, d.q(pivot))
-            if rem == 0 and y >= 0:
-                rep_p2 = _mirror_rep(x, pivot, y, d)
-                if is_valid(rep_p2):
-                    return OccurrenceWitness(
-                        occ.p1, occ.p2, x, pivot, y, rep_p2, pivot != m
-                    )
-    raise TheoremViolationError(
-        f"no witness exists for palindromic occurrence ({occ.p1}..{occ.p2}]"
+    m = None if ref is None else ref[0]
+    x = encode(occ.p1, d)
+    qs = [d.q(i) for i in range(max(len(x.digits), (m or 0) + 1))]
+    ds = [d.digit(i) for i in range(m or 0)]
+    return _witness(
+        occ.p1, occ.p2, x, m, qs, ds,
+        lambda digs: is_valid(OstrowskiRep(d, tuple(digs))),
     )
+
+
+def occurrence_witnesses(d: DirectiveSequence, pmax: int):
+    """Yield the record of every palindromic occurrence (p1..p2] with
+    p2 <= pmax, ordered by p2, then p1: the witness's to_record(), or
+    {"p1", "p2", "status": "FAIL"} where occurrence_witness would raise
+    TheoremViolationError.
+
+    One Manacher pass ("A new linear-time on-line algorithm for finding
+    the smallest initial palindrome of a string", J. ACM 1975) over the
+    prefix of length 2 pmax gives the longest palindrome at every
+    centre p1 + p2.  The palindromes at one centre are nested, so the
+    occurrences there are the (p1..p2] with p1 at least the longest
+    one's start; and since that prefix holds p1 + p2 symbols, the
+    longest one is the maximal extension (the left edge stops it
+    first).  So the work is O(pmax + occurrences): the central word of
+    each centre is looked up once, encode(p1) runs once per p1, and
+    each mirror's validity is read from the valid-digit DAG's run
+    table instead of joining its word.  On a finite directive at most
+    the whole word is read; ValueError, before any record, if an
+    occurrence's maximal extension reaches its end with p1 > 0.
+    """
+    if pmax < 1:
+        raise ValueError("the occurrence bound must be positive")
+    end = _extension_reach(d, 2 * pmax)
+    # (a finite word shorter than pmax raises here)
+    raw = characteristic_prefix(d, max(end, pmax)).raw
+    # Manacher over raw with a separator (2) around every symbol: the
+    # centre of (p1..p2] is p1 + p2 and its radius p2 - p1.
+    t = bytearray(b"\x02") * (2 * end + 1)
+    t[1::2] = raw
+    top = len(t) - 1
+    rad = [0] * (2 * pmax)
+    mid = right = 0  # the palindrome reaching furthest right so far
+    for i in range(1, 2 * pmax):
+        k = min(rad[2 * mid - i], right - i) if i < right else 0
+        while k < i and i + k < top and t[i - k - 1] == t[i + k + 1]:
+            k += 1
+        rad[i] = k
+        if i + k > right:
+            mid, right = i, i + k
+    starts: list[list[int]] = [[] for _ in range(pmax + 1)]  # by p2
+    level: dict[int, int | None] = {}  # m of each centre's extension
+    cut = None  # the first (p2, p1) whose extension the word's end cuts
+    for c in range(1, 2 * pmax):
+        lo = (c - rad[c]) // 2
+        first, last = max(lo, c - pmax), (c - 1) // 2
+        if first > last:
+            continue
+        if lo and c + rad[c] == top:
+            here = (c - last, last)  # its innermost occurrence
+            cut = here if cut is None else min(cut, here)
+            continue
+        ref = _central_reference(d, rad[c])
+        level[c] = None if ref is None else ref[0]
+        for p1 in range(first, last + 1):
+            starts[c - p1].append(p1)
+    if cut is not None:
+        raise _cut_error(cut[1], cut[0], end)
+    # The DAG's levels cover every level read: x has at most len(qs)
+    # digits, q_m <= pmax since 2 q_m - 1 <= |c_{m,j}| < 2 pmax, and the
+    # mirror reads d_i only below m.
+    dag = _ValidDigitDag(d, pmax)
+    qs = dag.qs
+    ds = [d.digit(i) for i in range(len(qs) - 1)]
+    canon: dict[int, OstrowskiRep] = {}
+    for p2, p1s in enumerate(starts):
+        for p1 in p1s:
+            x = canon.get(p1)
+            if x is None:
+                x = canon[p1] = encode(p1, d)
+            try:
+                wit = _witness(p1, p2, x, level[p1 + p2], qs, ds, dag.valid)
+            except TheoremViolationError:
+                yield {"p1": p1, "p2": p2, "status": "FAIL"}
+                continue
+            yield wit.to_record()
 
 
 def z_vector(rep: OstrowskiRep) -> tuple[int, ...]:

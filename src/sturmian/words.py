@@ -41,11 +41,14 @@ __all__ = [
     "PalindromicTree",
     "n_partition",
     "has_kth_power",
+    "DEFAULT_RECURRENCE_CAP",
     "DEFAULT_STABILIZE_CAP",
 ]
 
-# Longest prefix a factor count may scan.
-DEFAULT_STABILIZE_CAP = 1 << 20
+# Longest prefix a factor count may scan: the cap on R(n) (see _factors).
+DEFAULT_RECURRENCE_CAP = 1 << 20
+# The former name, from when the counts doubled a prefix until stable.
+DEFAULT_STABILIZE_CAP = DEFAULT_RECURRENCE_CAP
 
 _FROM_CHAR = {"0": 0, "1": 1, "a": 0, "b": 1}
 _ALPHABETS = {"01": "01", "ab": "ab"}
@@ -463,7 +466,7 @@ def _factors(d: DirectiveSequence, n: int, cap: int) -> set[bytes]:
 
 
 def characteristic_factor_count(
-    d: DirectiveSequence, n: int, cap: int = DEFAULT_STABILIZE_CAP
+    d: DirectiveSequence, n: int, cap: int = DEFAULT_RECURRENCE_CAP
 ) -> int:
     """Number of distinct length-n factors of the characteristic word,
     read off its prefix of length R(n) (see _factors); CapExceededError

@@ -179,6 +179,35 @@ class TestVerify:
         assert r.returncode == 1
         assert r.stderr == "error: --pmax is capped at 5000, got 5001\n"
 
+    def test_tpr_large(self):
+        r = run_cli(
+            "verify", "tpr", "--d", "fib", "--pmax", "2000", "--format", "json"
+        )
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        assert (doc["occurrences"], doc["fallbacks"], doc["pass"]) == (
+            18749, 1585, True
+        )
+
+    def test_tpr_finite_directive_within_the_word(self):
+        # q_3 = 17: occurrences with p1 + p2 up to 19 extend inside it
+        r = run_cli("verify", "tpr", "--d", "1,2,3", "--pmax", "10")
+        assert r.returncode == 0
+        assert r.stderr == ""
+        lines = r.stdout.rstrip("\n").splitlines()
+        assert lines[-2] == "occurrences=23 fallbacks=0 failures=0"
+        assert lines[-1] == "pass"
+
+    def test_tpr_finite_directive_cut_extension(self):
+        for pmax in ("11", "12"):
+            r = run_cli("verify", "tpr", "--d", "1,2,3", "--pmax", pmax)
+            assert r.returncode == 1
+            assert r.stdout == ""
+            assert r.stderr == (
+                "error: directive sequence too short to extend (9..11]: its "
+                "maximal extension reaches the end of the word at 17\n"
+            )
+
     def test_h_pattern(self):
         r = run_cli("verify", "h-pattern", "--d", "fib", "--nmax", "8")
         assert r.returncode == 0

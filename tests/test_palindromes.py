@@ -9,6 +9,7 @@ import pytest
 
 from sturmian.errors import CapExceededError
 from sturmian.ostrowski import (
+    _ValidDigitDag,
     OstrowskiRep,
     decode,
     encode,
@@ -27,6 +28,7 @@ from sturmian.palindromes import (
     is_palindrome,
     maximal_palindromic_extension,
     occurrence_witness,
+    occurrence_witnesses,
     OccurrenceWitness,
     pal_length,
     pal_length_profile,
@@ -426,6 +428,110 @@ class TestWitness:
                     for i in range(width)
                 )
                 assert diffs <= 1
+
+
+def check_batch(d, pmax):
+    """The batch lists the brute occurrences in (p2, p1) order, each
+    with occurrence_witness's record; returns the records."""
+    records = list(occurrence_witnesses(d, pmax))
+    occs = list(palindromic_occurrences(d, pmax))
+    got = [(r["p1"], r["p2"]) for r in records]
+    assert set(got) == {(o.p1, o.p2) for o in occs}
+    assert got == [(o.p1, o.p2) for o in occs]
+    for rec, occ in zip(records, occs):
+        assert rec == occurrence_witness(occ).to_record()
+    return records
+
+
+class TestBatch:
+    @pytest.mark.parametrize(
+        "text", ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"]
+    )
+    def test_matches_single_witness(self, text):
+        check_batch(DirectiveSequence.parse(text), 150)
+
+    def test_matches_single_witness_random(self):
+        rng = random.Random(20261018)
+        for _ in range(20):
+            check_batch(random_directive(rng), 100)
+
+    def test_matches_single_witness_finite(self):
+        d = DirectiveSequence.parse("1,1,1,1,1,1,1,1,1")
+        records = check_batch(d, 44)
+        assert sum(r["fallback_used"] for r in records) == 7
+
+    def test_run_table_verdicts_match_is_valid(self, monkeypatch):
+        # every mirror the batch checks, read off the run table
+        seen = []
+        table_valid = _ValidDigitDag.valid
+
+        def spy(dag, digits):
+            verdict = table_valid(dag, digits)
+            seen.append((tuple(digits), verdict))
+            return verdict
+
+        monkeypatch.setattr(_ValidDigitDag, "valid", spy)
+        for text in ("fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"):
+            d = DirectiveSequence.parse(text)
+            seen.clear()
+            records = list(occurrence_witnesses(d, 150))
+            assert len(seen) >= len(records)
+            for digits, verdict in seen:
+                assert verdict == is_valid(OstrowskiRep(d, digits))
+
+    @pytest.mark.parametrize(
+        "text", ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"]
+    )
+    def test_run_table_matches_is_valid_at_every_pivot(self, text):
+        # the mirror of every occurrence at every pivot with an exact
+        # y >= 0, accepted or rejected
+        d = DirectiveSequence.parse(text)
+        pmax = 120
+        dag = _ValidDigitDag(d, pmax)
+        verdicts = set()
+        for occ in palindromic_occurrences(d, pmax):
+            x = encode(occ.p1, d)
+            for pivot in range(len(dag.qs)):
+                y, rem = divmod(occ.p2 - decode(mirror(x, pivot, 0, d)), d.q(pivot))
+                if rem or y < 0:
+                    continue
+                rep = mirror(x, pivot, y, d)
+                verdict = is_valid(rep)
+                assert dag.valid(list(rep.digits) + [0]) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_run_table_matches_is_valid_on_legal_vectors(self):
+        for text in ("fib", "2,(2)", "0,2,(1,3)", "1,2,3"):
+            d = DirectiveSequence.parse(text)
+            n = 16
+            dag = _ValidDigitDag(d, n)
+            for total in range(n + 1):
+                for rep in enumerate_legal_reps(total, d):
+                    assert dag.valid(rep.digits) == is_valid(rep)
+
+    def test_finite_directive_reads_the_whole_word(self):
+        # q_3 = 17 < p1 + p2 = 19, yet the extension of (9..10] stops
+        # at a mismatch inside the word
+        d = DirectiveSequence.parse("1,2,3")
+        ext = maximal_palindromic_extension(PalindromeOccurrence(d, 9, 10))
+        assert (ext.p1, ext.p2) == (9, 10)
+        check_batch(d, 10)
+
+    def test_finite_directive_cut_extension(self):
+        d = DirectiveSequence.parse("1,2,3")
+        message = r"extend \(9\.\.11\]"
+        with pytest.raises(ValueError, match=message):
+            maximal_palindromic_extension(PalindromeOccurrence(d, 9, 11))
+        for pmax in (11, 12, 17):
+            with pytest.raises(ValueError, match=message):
+                list(occurrence_witnesses(d, pmax))
+        with pytest.raises(ValueError, match="prefix of length 18"):
+            list(occurrence_witnesses(d, 18))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            list(occurrence_witnesses(FIB, 0))
 
 
 class TestZVectors:

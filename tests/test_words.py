@@ -6,6 +6,7 @@ import pytest
 
 from sturmian.errors import CapExceededError
 from sturmian.exactnum import ExactReal, parse_real
+import sturmian.words as words_mod
 from sturmian.ostrowski import standard_lengths
 from sturmian.words import (
     _sum_floor,
@@ -491,6 +492,12 @@ class TestFactors:
         assert characteristic_factor_count(FIB, 5, cap=17) == 6
         with pytest.raises(CapExceededError):
             characteristic_factor_count(FIB, 5, cap=16)
+
+    def test_recurrence_cap_keeps_its_former_name(self):
+        assert words_mod.DEFAULT_STABILIZE_CAP is words_mod.DEFAULT_RECURRENCE_CAP
+        assert {"DEFAULT_RECURRENCE_CAP", "DEFAULT_STABILIZE_CAP"} <= set(
+            words_mod.__all__
+        )
 
 
 def brute_balance_witness(w):
