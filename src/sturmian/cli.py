@@ -571,7 +571,8 @@ def _build_parser() -> _Parser:
     c = cnt.add_parser("rotation-words", parents=[common])
     c.add_argument("--sigma", required=True)
     c.add_argument("--length", type=int, required=True)
-    c.add_argument("--cap", type=int)
+    c.add_argument("--cap", type=int,
+                   help=f"largest --length (default {DEFAULT_SWEEP_CAP})")
     c.set_defaults(func=_cmd_count_rotation_words)
 
     c = cnt.add_parser("palindrome-factors", parents=[common])

@@ -9,11 +9,13 @@ arrangement in the unit parameter square.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .exactnum import ExactReal, compare
-from .words import BinaryWord, rotation_word
+from .exactnum import ExactReal, _floor_quadratic, _radical_sign, compare
+from .words import BinaryWord, _rotation_raw
 
 __all__ = [
     "euler_phi",
@@ -32,7 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_BALANCED_CAP = 40
-DEFAULT_SWEEP_CAP = 14
+DEFAULT_SWEEP_CAP = 42
 
 
 def euler_phi(q: int) -> int:
@@ -167,23 +169,67 @@ def _check_sigma(sigma: ExactReal) -> None:
         raise ValueError(f"sigma must lie in (0,1), got {sigma}")
 
 
+def _line_triples(order: int) -> list[tuple[int, int, int]]:
+    """(coeff, n, e) for each line coeff * alpha + rho = n + e * sigma of
+    the order-n arrangement: the boundaries rho = 0 and rho = 1, the
+    integer lines (e = 0), then the shifted lines (e = -1)."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    triples = [(0, 0, 0), (0, 1, 0)]
+    triples += [(q, n, 0) for q in range(1, order + 1) for n in range(1, q + 1)]
+    triples += [(q, n, -1) for q in range(order + 1) for n in range(1, q + 2)]
+    return triples
+
+
 def arrangement_lines(order: int, sigma: ExactReal) -> list[ArrangementLine]:
     """All lines of the order-n arrangement that meet the open unit
     square, plus the two horizontal boundaries."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    triples = _line_triples(order)
     _check_sigma(sigma)
-    lines = [
-        ArrangementLine(0, ExactReal(0), "boundary"),
-        ArrangementLine(0, ExactReal(1), "boundary"),
+    return [
+        ArrangementLine(coeff, ExactReal(n) - sigma, "shifted") if e
+        else ArrangementLine(coeff, ExactReal(n), "integer" if coeff else "boundary")
+        for coeff, n, e in triples
     ]
-    for q in range(1, order + 1):
-        for level in range(1, q + 1):
-            lines.append(ArrangementLine(q, ExactReal(level), "integer"))
-    for q in range(0, order + 1):
-        for level in range(1, q + 2):
-            lines.append(ArrangementLine(q, ExactReal(level) - sigma, "shifted"))
-    return lines
+
+
+# Points of the arrangement are tuples of plain integers: the
+# coordinates of each value in the basis {1, sqrt(d)} of sigma's field
+# Q(sqrt(d)), with one positive common denominator last.  A line
+# coeff * alpha + rho = n + e * sigma meets another at
+# ((N + E sigma) / Delta, ...) with small integers, and sigma =
+# (a + b sqrt(d)) / c turns that into (c N + a E, b E) / (c Delta).
+# Reducing by the gcd of all entries makes the tuple of a point unique;
+# for a rational sigma (b = d = 0) it folds to plain rationals.
+
+
+def _reduced(*entries: int) -> tuple[int, ...]:
+    g = math.gcd(*entries)
+    return tuple(x // g for x in entries) if g > 1 else entries
+
+
+def _in_unit(v: int, w: int, den: int, d: int) -> bool:
+    """0 <= (v + w sqrt(d)) / den <= 1, for den > 0."""
+    return _radical_sign(v, w, d) >= 0 and _radical_sign(den - v, -w, d) >= 0
+
+
+def _sorted_exact(items: list, keys: list[int], d: int) -> list:
+    """Items (v, w, den, ...) ordered by (v + w sqrt(d)) / den, den > 0.
+
+    keys[i] is a nondecreasing integer function of the value of items[i],
+    such as floor(2**64 * value).  Distinct keys decide the order alone;
+    if two keys tie, every pair is compared by an exact sign test.
+    """
+    if len(set(keys)) == len(keys):
+        return [item for _, item in sorted(zip(keys, items))]
+    return sorted(items, key=functools.cmp_to_key(
+        lambda x, y: _radical_sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], d)
+    ))
+
+
+def _floor64(v: int, w: int, den: int, d: int) -> int:
+    """floor(2**64 * (v + w sqrt(d)) / den), for den > 0."""
+    return _floor_quadratic(v << 64, w << 64, den, d)
 
 
 @dataclass(frozen=True)
@@ -195,13 +241,14 @@ class FaceSample:
     word: BinaryWord
 
 
-def rotation_word_samples(sigma: ExactReal, length: int, cap: int = DEFAULT_SWEEP_CAP):
-    """Yield one FaceSample per face of the arrangement of order
-    length - 1, sweeping vertical strips between consecutive exact
-    alpha-breakpoints.
+def _strips(sigma: ExactReal, length: int, cap: int):
+    """Sweep the vertical strips of the order length - 1 arrangement.
 
-    Faces straddling several strips are sampled once per strip; callers
-    that count distinct words de-duplicate on the word.
+    Yield (alpha, levels, words) per strip: alpha is the strip's middle,
+    levels the heights 0 < h_1 < ... < h_k < 1 of the lines over alpha
+    with 0 and 1 added, and words[j] the raw rotation word of the face
+    between levels[j] and levels[j + 1].  alpha and the levels are
+    (v, w, den) tuples of Q(sqrt(d)).
     """
     if length < 1:
         raise ValueError("length must be positive")
@@ -212,48 +259,82 @@ def rotation_word_samples(sigma: ExactReal, length: int, cap: int = DEFAULT_SWEE
     if sigma.is_rational:
         raise ValueError("sweep needs an irrational sigma (rational slopes degenerate)")
     _check_sigma(sigma)
+    sa, sb, sc, d = sigma.a, sigma.b, sigma.c, sigma.d
 
-    lines = arrangement_lines(length - 1, sigma)
-    breaks = {ExactReal(0), ExactReal(1)}
-    for i, li in enumerate(lines):
-        for lj in lines[i + 1 :]:
-            if li.coeff == lj.coeff:
+    # Each family of parallel lines (coeff, e) has n running over
+    # [lo, hi]; two families meet at alpha = (dn + de sigma) / dc.
+    span: dict[tuple[int, int], tuple[int, int]] = {}
+    for coeff, n, e in _line_triples(length - 1):
+        lo, hi = span.get((coeff, e), (n, n))
+        span[coeff, e] = (min(lo, n), max(hi, n))
+    breaks = {(0, 0, 1), (1, 0, 1)}
+    for (c1, e1), (lo1, hi1) in span.items():
+        for (c2, e2), (lo2, hi2) in span.items():
+            if c1 <= c2:
                 continue
-            a = (li.level - lj.level) / (li.coeff - lj.coeff)
-            if a.sign() > 0 and compare(a, 1) < 0:
-                breaks.add(a)
-    cuts = sorted(breaks)
-    two = ExactReal(2)
-    zero, one = ExactReal(0), ExactReal(1)
-    for idx in range(len(cuts) - 1):
-        a_mid = (cuts[idx] + cuts[idx + 1]) / two
-        heights = []
-        for ln in lines:
-            if ln.kind == "boundary":
-                continue
-            h = ln.height_at(a_mid)
-            if h.sign() > 0 and compare(h, 1) < 0:
-                heights.append((h, ln))
-        heights.sort(key=lambda item: item[0])
-        levels = [zero] + [h for h, _ in heights] + [one]
-        rho = (levels[0] + levels[1]) / two
-        word = bytearray(rotation_word(a_mid, rho, sigma, length).raw)
-        yield FaceSample(a_mid, rho, BinaryWord._from_raw(bytes(word)))
-        for j, (_, ln) in enumerate(heights):
+            dc, de = c1 - c2, e1 - e2
+            # As 0 < sigma < 1 and de is -1, 0 or 1, dn + de sigma lies
+            # in (0, dc) iff dn runs from (de <= 0) to dc - (de >= 0).
+            first = max(lo1 - hi2, int(de <= 0))
+            last = min(hi1 - lo2, dc - int(de >= 0))
+            for dn in range(first, last + 1):
+                breaks.add(_reduced(dn * sc + de * sa, de * sb, sc * dc))
+    breaks = list(breaks)
+    cuts = _sorted_exact(breaks, [_floor64(*pt, d) for pt in breaks], d)
+
+    crossing = [fam for fam in span if fam != (0, 0)]
+    for (u0, u1, uc), (v0, v1, vc) in zip(cuts, cuts[1:]):
+        m0, m1, m = _reduced(u0 * vc + v0 * uc, u1 * vc + v1 * uc, 2 * uc * vc)
+        den, a0, a1, s0, s1 = sc * m, sc * m0, sc * m1, sa * m, sb * m
+        # Over alpha, family (coeff, e) meets the open square in one
+        # line: n = floor(t) + 1 with t = coeff * alpha - e * sigma, at
+        # height n - t.  From f = floor(2**64 t) come both n and the
+        # sort key ceil(2**64 (n - t)) = 2**64 n - f.
+        heights, keys = [], []
+        for coeff, e in crossing:
+            t0, t1 = coeff * a0 - e * s0, coeff * a1 - e * s1
+            f = _floor64(t0, t1, den, d)
+            n = (f >> 64) + 1
+            heights.append((n * den - t0, -t1, den, coeff, e))
+            keys.append((n << 64) - f)
+        heights = _sorted_exact(heights, keys, d)
+        # The word halfway up to the lowest line, over the denominator 2 den.
+        word = _rotation_raw(
+            2 * a0, 2 * a1, heights[0][0], heights[0][1], 2 * s0, 2 * s1, 2 * den, d, length
+        )
+        words = [bytes(word)]
+        for _, _, _, coeff, e in heights:
             # Crossing a line upward wraps {coeff*alpha + rho} past an
             # integer (symbol becomes 0) or past 1 - sigma (symbol
             # becomes 1).
-            word[ln.coeff] = 0 if ln.kind == "integer" else 1
-            rho = (levels[j + 1] + levels[j + 2]) / two
-            yield FaceSample(a_mid, rho, BinaryWord._from_raw(bytes(word)))
+            word[coeff] = 1 if e else 0
+            words.append(bytes(word))
+        yield (m0, m1, m), [(0, 0, den), *heights, (den, 0, den)], words
+
+
+def rotation_word_samples(sigma: ExactReal, length: int, cap: int = DEFAULT_SWEEP_CAP):
+    """Yield one FaceSample per face of the arrangement of order
+    length - 1, sweeping vertical strips between consecutive exact
+    alpha-breakpoints; the sample's rho is halfway between the lines
+    that bound its face in the strip.
+
+    Faces straddling several strips are sampled once per strip; callers
+    that count distinct words de-duplicate on the word.
+    """
+    d = sigma.d
+    for (a0, a1, ac), levels, words in _strips(sigma, length, cap):
+        alpha = ExactReal._squarefree(a0, a1, ac, d)
+        for low, high, raw in zip(levels, levels[1:], words):
+            rho = ExactReal._squarefree(low[0] + high[0], low[1] + high[1], 2 * low[2], d)
+            yield FaceSample(alpha, rho, BinaryWord._from_raw(raw))
 
 
 def rotation_word_count(sigma: ExactReal, length: int, cap: int = DEFAULT_SWEEP_CAP) -> int:
     """Number of distinct rotation words of the given length over all
     (alpha, rho) in the unit square, counted by the exact sweep."""
     seen = set()
-    for sample in rotation_word_samples(sigma, length, cap=cap):
-        seen.add(sample.word.raw)
+    for _, _, words in _strips(sigma, length, cap):
+        seen.update(words)
     return len(seen)
 
 
@@ -265,41 +346,43 @@ def arrangement_face_count(sigma: ExactReal, order: int) -> int:
     edge of the subdivision (square edges included) and returns
     edges - vertices + 1.
     """
-    lines = arrangement_lines(order, sigma)
-    zero, one = ExactReal(0), ExactReal(1)
+    triples = _line_triples(order)
+    _check_sigma(sigma)
+    sa, sb, sc, d = sigma.a, sigma.b, sigma.c, sigma.d
+    # line i: coeff * alpha + rho = (p + r sqrt(d)) / sc
+    lines = [(coeff, n * sc + e * sa, e * sb) for coeff, n, e in triples]
+    curves = [set() for _ in lines]
+    walls = (set(), set())  # alpha = 0 and alpha = 1
 
-    def in_unit(t: ExactReal) -> bool:
-        return t.sign() >= 0 and compare(t, one) <= 0
-
-    points_on: dict[tuple, set] = {("l", i): set() for i in range(len(lines))}
-    points_on[("v", 0)] = set()
-    points_on[("v", 1)] = set()
-
-    for i, li in enumerate(lines):
+    for i, (ci, pi, ri) in enumerate(lines):
+        on_i = curves[i]
         for j in range(i + 1, len(lines)):
-            lj = lines[j]
-            if li.coeff == lj.coeff:
+            cj, pj, rj = lines[j]
+            delta = ci - cj
+            if delta == 0:
                 continue
-            a = (li.level - lj.level) / (li.coeff - lj.coeff)
-            if not in_unit(a):
-                continue
-            r = li.height_at(a)
-            if not in_unit(r):
-                continue
-            pt = (a, r)
-            points_on[("l", i)].add(pt)
-            points_on[("l", j)].add(pt)
-    for vi, v in enumerate((zero, one)):
-        for i, li in enumerate(lines):
-            r = li.height_at(v)
-            if in_unit(r):
-                pt = (v, r)
-                points_on[("v", vi)].add(pt)
-                points_on[("l", i)].add(pt)
+            # alpha = (level_i - level_j) / delta and
+            # rho = (ci level_j - cj level_i) / delta, over sc * delta.
+            a0, a1 = pi - pj, ri - rj
+            r0, r1 = ci * pj - cj * pi, ci * rj - cj * ri
+            if delta < 0:
+                a0, a1, r0, r1, delta = -a0, -a1, -r0, -r1, -delta
+            den = sc * delta
+            if _in_unit(a0, a1, den, d) and _in_unit(r0, r1, den, d):
+                pt = _reduced(a0, a1, r0, r1, den)
+                on_i.add(pt)
+                curves[j].add(pt)
+    for v, wall in enumerate(walls):
+        for (coeff, p, r), on_line in zip(lines, curves):
+            p -= coeff * v * sc
+            if _in_unit(p, r, sc, d):
+                pt = _reduced(v * sc, 0, p, r, sc)
+                wall.add(pt)
+                on_line.add(pt)
 
     vertices = set()
     edges = 0
-    for pts in points_on.values():
+    for pts in (*curves, *walls):
         if not pts:
             continue
         vertices |= pts

@@ -100,13 +100,28 @@ class ExactReal:
             raise ZeroDivisionError("zero denominator")
         if d < 0:
             raise ValueError("sqrt argument must be nonnegative")
-        if b == 0 or d == 0:
-            b, d = 0, 0
-        else:
+        if b != 0 and d != 0:
             f, d = _squarefree_split(d)
             b *= f
             if d == 1:
                 a, b, d = a + b, 0, 0
+        self._normalize(a, b, c, d)
+
+    @classmethod
+    def _squarefree(cls, a: int, b: int, c: int, d: int) -> ExactReal:
+        """(a + b*sqrt(d)) / c for c != 0 and d already 0 or squarefree.
+
+        Arithmetic results and values built from another value's field
+        come this way: they skip the trial division of the public
+        constructor but get the same normal form.
+        """
+        self = object.__new__(cls)
+        self._normalize(a, b, c, d)
+        return self
+
+    def _normalize(self, a: int, b: int, c: int, d: int) -> None:
+        if b == 0 or d == 0:
+            b, d = 0, 0
         if c < 0:
             a, b, c = -a, -b, -c
         g = math.gcd(math.gcd(a, b), c)
@@ -159,7 +174,7 @@ class ExactReal:
         if other is NotImplemented:
             return NotImplemented
         d = self._common_d(other)
-        return ExactReal(
+        return ExactReal._squarefree(
             self.a * other.c + other.a * self.c,
             self.b * other.c + other.b * self.c,
             self.c * other.c,
@@ -169,7 +184,7 @@ class ExactReal:
     __radd__ = __add__
 
     def __neg__(self) -> ExactReal:
-        return ExactReal(-self.a, -self.b, self.c, self.d)
+        return ExactReal._squarefree(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other) -> ExactReal:
         other = self._coerce(other)
@@ -188,7 +203,7 @@ class ExactReal:
         if other is NotImplemented:
             return NotImplemented
         d = self._common_d(other)
-        return ExactReal(
+        return ExactReal._squarefree(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             self.c * other.c,
@@ -201,11 +216,11 @@ class ExactReal:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.b == 0:
-            return ExactReal(self.c, 0, self.a, 0)
+            return ExactReal._squarefree(self.c, 0, self.a, 0)
         # 1/x = c*(a - b*sqrt(d)) / (a^2 - b^2 d); the norm is nonzero
         # because d is squarefree >= 2 and b != 0.
         norm = self.a * self.a - self.b * self.b * self.d
-        return ExactReal(self.c * self.a, -self.c * self.b, norm, self.d)
+        return ExactReal._squarefree(self.c * self.a, -self.c * self.b, norm, self.d)
 
     def __truediv__(self, other) -> ExactReal:
         other = self._coerce(other)

@@ -23,6 +23,7 @@ from .exactnum import (
     ExactReal,
     MixedRadicalError,
     _floor_quadratic,
+    _radical_sign,
     compare,
 )
 
@@ -374,17 +375,44 @@ def mechanical_word(params: MechanicalParams, n: int) -> BinaryWord:
     return BinaryWord._from_raw(bytes(out))
 
 
+def _rotation_raw(a, b, r, s, u, v, c, d, n) -> bytearray:
+    """Symbols 0..n-1 of the rotation word with alpha = (a + b sqrt(d))/c,
+    rho = (r + s sqrt(d))/c and sigma = (u + v sqrt(d))/c, for plain
+    integers and c > 0: one integer floor and one sign test per symbol.
+    """
+    out = bytearray(n)
+    for q in range(n):
+        x0, x1 = r + q * a, s + q * b
+        m = _floor_quadratic(x0, x1, c, d)
+        # {x} <= 1 - sigma  <=>  x + sigma <= m + 1; equality gives 0.
+        if _radical_sign(x0 + u - (m + 1) * c, x1 + v, d) > 0:
+            out[q] = 1
+    return out
+
+
 def rotation_word(alpha: ExactReal, rho: ExactReal, sigma: ExactReal, n: int) -> BinaryWord:
     """Word r of length n with r[q] = 0 iff {q*alpha + rho} <= 1 - sigma.
 
     The boundary case {q*alpha + rho} = 1 - sigma maps to symbol 0.
     alpha, rho, sigma may live in up to two distinct quadratic fields.
+    When they share one field (rationals included), the three are put
+    over one denominator and each symbol costs one integer square root;
+    otherwise each symbol is an exact comparison across the two fields.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     _require_unit(alpha, "alpha", strict_low=False)
     _require_unit(rho, "rho", strict_low=False)
     _require_unit(sigma, "sigma", strict_low=True)
+    fields = {x.d for x in (alpha, rho, sigma)} - {0}
+    if len(fields) <= 1:
+        c = alpha.c * rho.c * sigma.c
+        ka, kr, ks = c // alpha.c, c // rho.c, c // sigma.c
+        raw = _rotation_raw(
+            alpha.a * ka, alpha.b * ka, rho.a * kr, rho.b * kr,
+            sigma.a * ks, sigma.b * ks, c, max(fields, default=0), n,
+        )
+        return BinaryWord._from_raw(bytes(raw))
     out = bytearray()
     for q in range(n):
         x = alpha * q

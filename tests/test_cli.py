@@ -335,6 +335,11 @@ class TestErrorsAndCaps:
         r = run_cli("count", "balanced", "--n", "23")
         assert (r.returncode, r.stdout) == (0, "1406\n")
 
+    def test_rotation_words_default_cap(self):
+        r = run_cli("count", "rotation-words", "--sigma", "(-1+sqrt(2))", "--length", "43")
+        assert r.returncode == 1
+        assert r.stderr == "error: rotation-word sweep is capped at length 42, got 43\n"
+
     def test_bad_env_cap(self):
         r = run_cli(
             "count", "balanced", "--n", "4", env_extra={"STURM_CAP": "zero"}

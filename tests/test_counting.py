@@ -6,6 +6,10 @@ from collections import Counter
 import pytest
 
 from sturmian.counting import (
+    DEFAULT_SWEEP_CAP,
+    FaceSample,
+    _floor64,
+    _sorted_exact,
     arrangement_face_count,
     arrangement_lines,
     balanced_count,
@@ -17,10 +21,86 @@ from sturmian.counting import (
     sturmian_total,
 )
 from sturmian.errors import CapExceededError
-from sturmian.exactnum import ExactReal
+from sturmian.exactnum import ExactReal, compare, parse_real
 from sturmian.words import BinaryWord, is_balanced, rotation_word
 
 SIGMA7 = ExactReal.sqrt(7) / 7  # inside (3/8, 2/5)
+IRRATIONAL_SIGMAS = [
+    parse_real(text) for text in ("(-1+sqrt(2))", "(3-sqrt(5))/2", "sqrt(7)/7", "sqrt(8)/3")
+]
+RATIONAL_SIGMAS = [ExactReal.rational(1, 3), ExactReal.rational(1, 2), ExactReal.rational(2, 7)]
+
+
+def brute_arrangement_face_count(sigma, order):
+    """Faces of the order-n arrangement by the Euler relation, with every
+    vertex an (alpha, rho) pair of ExactReal values."""
+    lines = arrangement_lines(order, sigma)
+    zero, one = ExactReal(0), ExactReal(1)
+
+    def in_unit(t):
+        return t.sign() >= 0 and compare(t, one) <= 0
+
+    points_on = {("l", i): set() for i in range(len(lines))}
+    points_on[("v", 0)] = set()
+    points_on[("v", 1)] = set()
+    for i, li in enumerate(lines):
+        for j in range(i + 1, len(lines)):
+            lj = lines[j]
+            if li.coeff == lj.coeff:
+                continue
+            a = (li.level - lj.level) / (li.coeff - lj.coeff)
+            if not in_unit(a):
+                continue
+            r = li.height_at(a)
+            if not in_unit(r):
+                continue
+            points_on[("l", i)].add((a, r))
+            points_on[("l", j)].add((a, r))
+    for vi, v in enumerate((zero, one)):
+        for i, li in enumerate(lines):
+            r = li.height_at(v)
+            if in_unit(r):
+                points_on[("v", vi)].add((v, r))
+                points_on[("l", i)].add((v, r))
+    vertices = set()
+    edges = 0
+    for pts in points_on.values():
+        if pts:
+            vertices |= pts
+            edges += len(pts) - 1
+    return edges - len(vertices) + 1
+
+
+def brute_rotation_word_samples(sigma, length):
+    """The sweep with every breakpoint, height and sample an ExactReal:
+    all pairwise breakpoints and all lines tested at each strip's middle."""
+    lines = arrangement_lines(length - 1, sigma)
+    breaks = {ExactReal(0), ExactReal(1)}
+    for i, li in enumerate(lines):
+        for lj in lines[i + 1 :]:
+            if li.coeff != lj.coeff:
+                a = (li.level - lj.level) / (li.coeff - lj.coeff)
+                if a.sign() > 0 and compare(a, 1) < 0:
+                    breaks.add(a)
+    cuts = sorted(breaks)
+    two = ExactReal(2)
+    for left, right in zip(cuts, cuts[1:]):
+        a_mid = (left + right) / two
+        heights = []
+        for ln in lines:
+            if ln.kind != "boundary":
+                h = ln.height_at(a_mid)
+                if h.sign() > 0 and compare(h, 1) < 0:
+                    heights.append((h, ln))
+        heights.sort(key=lambda item: item[0])
+        levels = [ExactReal(0)] + [h for h, _ in heights] + [ExactReal(1)]
+        rho = (levels[0] + levels[1]) / two
+        word = bytearray(rotation_word(a_mid, rho, sigma, length).raw)
+        yield FaceSample(a_mid, rho, BinaryWord._from_raw(bytes(word)))
+        for j, (_, ln) in enumerate(heights):
+            word[ln.coeff] = 0 if ln.kind == "integer" else 1
+            rho = (levels[j + 1] + levels[j + 2]) / two
+            yield FaceSample(a_mid, rho, BinaryWord._from_raw(bytes(word)))
 
 
 class TestTotient:
@@ -91,6 +171,21 @@ class TestFaceFormula:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             rotation_face_count(0)
+        with pytest.raises(ValueError):
+            arrangement_face_count(SIGMA7, -1)
+
+    def test_matches_brute_oracle(self):
+        # rational sigmas included: coincident points must still merge
+        for sigma in IRRATIONAL_SIGMAS + RATIONAL_SIGMAS:
+            for order in range(9):
+                assert arrangement_face_count(sigma, order) == brute_arrangement_face_count(
+                    sigma, order
+                ), (str(sigma), order)
+
+    def test_formula_to_order_14(self):
+        for sigma in IRRATIONAL_SIGMAS:
+            for order in range(1, 15):
+                assert arrangement_face_count(sigma, order) == rotation_face_count(order)
 
 
 class TestArrangementLines:
@@ -113,6 +208,18 @@ class TestRotationSweep:
     def test_formula_values(self):
         assert rotation_word_count(SIGMA7, 9) == 189
         assert rotation_word_count(SIGMA7, 10) == 261
+
+    def test_known_counts(self):
+        counts = [rotation_word_count(SIGMA7, n) for n in range(1, 11)]
+        assert counts == [2, 4, 8, 16, 30, 52, 83, 128, 189, 261]
+        assert rotation_word_count(IRRATIONAL_SIGMAS[0], 12) == 461
+
+    def test_samples_match_brute_sweep(self):
+        # same strips, same faces in the same order, same exact values
+        for sigma in IRRATIONAL_SIGMAS:
+            for n in range(1, 7):
+                got = list(rotation_word_samples(sigma, n))
+                assert got == list(brute_rotation_word_samples(sigma, n)), (str(sigma), n)
 
     def test_samples_strictly_off_lines(self):
         n = 4
@@ -171,7 +278,24 @@ class TestRotationSweep:
             rotation_word_count(ExactReal.sqrt(2), 4)
 
     def test_cap(self):
+        assert DEFAULT_SWEEP_CAP == 42
         with pytest.raises(CapExceededError):
-            rotation_word_count(SIGMA7, 15)
+            rotation_word_count(SIGMA7, 43)
         with pytest.raises(CapExceededError):
             rotation_word_count(SIGMA7, 5, cap=4)
+
+
+class TestExactOrder:
+    def test_distinct_keys(self):
+        d = 2
+        items = [(1, 1, 3), (0, 0, 1), (-1, 1, 1), (1, 0, 1)]
+        keys = [_floor64(*item, d) for item in items]
+        assert _sorted_exact(items, keys, d) == [(0, 0, 1), (-1, 1, 1), (1, 1, 3), (1, 0, 1)]
+
+    def test_tied_keys_compared_exactly(self):
+        # all four lie in (0, 2**-64), so their floor(2**64 x) keys tie
+        tiny = 1 << 80
+        items = [(0, 1, tiny, "r2"), (3, 0, tiny, "3"), (1, 0, tiny, "1"), (2, 0, tiny, "2")]
+        keys = [_floor64(v, w, den, 2) for v, w, den, _ in items]
+        assert len(set(keys)) == 1
+        assert [item[3] for item in _sorted_exact(items, keys, 2)] == ["1", "r2", "2", "3"]

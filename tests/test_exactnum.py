@@ -30,6 +30,31 @@ def test_normalization_rational_radicand():
     assert x == ExactReal.rational(7)
 
 
+def test_results_match_public_constructor():
+    # arithmetic skips the squarefree split of d; with a large prime d
+    # the results must still be exactly what the public constructor gives
+    x = ExactReal.sqrt(1000003)
+    y = ExactReal(3, -2, 7, 1000003)
+    q = ExactReal.rational(-5, 6)
+    results = [x + y, x - y, y - q, x * y, x / y, q / x, y.inverse(), -y, x * x, q * q]
+    for r in results:
+        public = ExactReal(r.a, r.b, r.c, r.d)
+        assert (r.a, r.b, r.c, r.d) == (public.a, public.b, public.c, public.d)
+        assert r == public and hash(r) == hash(public)
+    assert (x * x).is_rational and x * x == ExactReal.rational(1000003)
+    assert x / y * y == x
+
+
+def test_squarefree_path_normalizes():
+    rng = random.Random(8)
+    for _ in range(300):
+        a, b, c = rng.randint(-50, 50), rng.randint(-50, 50), rng.choice([-12, -3, 1, 4, 30])
+        d = rng.choice([0, 2, 3, 5, 6, 1000003])
+        fast = ExactReal._squarefree(a, b, c, d)
+        public = ExactReal(a, b, c, d)
+        assert (fast.a, fast.b, fast.c, fast.d) == (public.a, public.b, public.c, public.d)
+
+
 def test_normalization_sign_and_gcd():
     x = ExactReal(-4, 0, -6, 0)
     assert (x.a, x.b, x.c, x.d) == (2, 0, 3, 0)

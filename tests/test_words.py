@@ -5,10 +5,11 @@ import random
 import pytest
 
 from sturmian.errors import CapExceededError
-from sturmian.exactnum import ExactReal, parse_real
+from sturmian.exactnum import ExactReal, MixedRadicalError, parse_real
 import sturmian.words as words_mod
 from sturmian.ostrowski import standard_lengths
 from sturmian.words import (
+    _cmp_sum3,
     _sum_floor,
     BinaryWord,
     DirectiveSequence,
@@ -264,7 +265,57 @@ class TestMechanical:
             mechanical_word(params, -1)
 
 
+def brute_rotation_word(alpha, rho, sigma, n):
+    """Raw rotation word with an ExactReal floor and an exact comparison
+    per symbol, valid across two quadratic fields."""
+    out = bytearray()
+    for q in range(n):
+        x = alpha * q
+        m = _sum_floor(x, rho)
+        out.append(0 if _cmp_sum3(x, rho, sigma, m + 1) <= 0 else 1)
+    return bytes(out)
+
+
 class TestRotation:
+    def test_matches_brute_oracle(self):
+        # one field, rationals, two fields, and starts on the 1 - sigma boundary
+        values = [
+            parse_real(text)
+            for text in ("0", "1/7", "1/2", "(-1+sqrt(2))", "(3-sqrt(5))/2", "sqrt(7)/7",
+                         "sqrt(2)/3", "(2-sqrt(2))", "sqrt(3)/2", "(5-sqrt(5))/4")
+        ]
+        one = ExactReal.rational(1)
+        checked = 0
+        for sigma in values[1:]:
+            rhos = values + [one - sigma]
+            for alpha in values:
+                for rho in rhos:
+                    if len({x.d for x in (alpha, rho, sigma)} - {0}) > 2:
+                        continue
+                    want = brute_rotation_word(alpha, rho, sigma, 40)
+                    assert rotation_word(alpha, rho, sigma, 40).raw == want, (
+                        str(alpha), str(rho), str(sigma)
+                    )
+                    checked += 1
+        assert checked > 700
+
+    def test_boundary_hits_in_one_field(self):
+        # {q alpha + rho} = 1 - sigma exactly: at q = 0, and at q = 4 for
+        # alpha = 1/7, rho = 0, sigma = 3/7
+        sigma = parse_real("(3-sqrt(5))/2")
+        one = ExactReal.rational(1)
+        w = rotation_word(sigma, one - sigma, sigma, 50)
+        assert w[0] == 0
+        assert w.raw == brute_rotation_word(sigma, one - sigma, sigma, 50)
+        w = rotation_word(ExactReal.rational(1, 7), ExactReal.rational(0), ExactReal.rational(3, 7), 8)
+        assert w[4] == 0
+        assert w.to_string("01") == "00000110"
+
+    def test_three_radicals_refused(self):
+        with pytest.raises(MixedRadicalError):
+            rotation_word(parse_real("sqrt(2)/3"), parse_real("sqrt(3)/2"),
+                          parse_real("sqrt(7)/7"), 3)
+
     def test_zero_start(self):
         zero = ExactReal.rational(0)
         for alpha, sigma in [
