@@ -43,6 +43,7 @@ from .counting import (
     arrangement_face_count,
     arrangement_lines,
     balanced_count,
+    balanced_counts,
     euler_phi,
     euler_phi_sieve,
     rotation_face_count,
@@ -112,6 +113,7 @@ __all__ = [
     "arrangement_face_count",
     "arrangement_lines",
     "balanced_count",
+    "balanced_counts",
     "euler_phi",
     "euler_phi_sieve",
     "rotation_face_count",

@@ -24,6 +24,7 @@ from .counting import (
     DEFAULT_BALANCED_CAP,
     DEFAULT_SWEEP_CAP,
     balanced_count,
+    balanced_counts,
     rotation_face_count,
     rotation_word_count,
     sturmian_total,
@@ -462,11 +463,11 @@ def _cmd_verify_balanced_vs_formula(args) -> int:
     if args.nmax < 0:
         raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
     cap = _resolve_cap(args.cap, DEFAULT_BALANCED_CAP)
+    oracles = balanced_counts(args.nmax, cap=cap)
     rows = []
     passed = True
-    for n in range(args.nmax + 1):
+    for n, oracle in enumerate(oracles):
         formula = sturmian_total(n)
-        oracle = balanced_count(n, cap=cap)
         ok = formula == oracle
         passed = passed and ok
         rows.append((n, formula, oracle, "ok" if ok else "FAIL"))

@@ -2,9 +2,17 @@
 
 The closed forms (total count of balanced factors, face count of the
 rotation-word line arrangement) are evaluated exactly with big integers.
-Each one has an independent oracle: exhaustive enumeration of balanced
-words, and an exact sweep / face enumeration of the dual line
-arrangement in the unit parameter square.
+Each one has an independent oracle: an enumeration of balanced words,
+and an exact sweep / face enumeration of the dual line arrangement in
+the unit parameter square.
+
+The enumeration is one depth-first walk over the tree of balanced
+words that start with 0, counting every length up to n in one pass.
+It rests on two proved facts: a step w -> wx unbalances w only if the
+new longest palindromic suffix x p x meets an old (1-x) p (1-x)
+(Lothaire, Prop. 2.1.3), a test of O(1) on an eertree the walk undoes
+on backtrack; and complementing symbols preserves balance, so the
+counts are doubled.
 """
 
 from __future__ import annotations
@@ -15,12 +23,13 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError
 from .exactnum import ExactReal, _floor_quadratic, _radical_sign, compare
-from .words import BinaryWord, _rotation_raw
+from .words import BinaryWord, _balanced_counts, _rotation_raw
 
 __all__ = [
     "euler_phi",
     "euler_phi_sieve",
     "sturmian_total",
+    "balanced_counts",
     "balanced_count",
     "rotation_face_count",
     "ArrangementLine",
@@ -33,7 +42,7 @@ __all__ = [
     "DEFAULT_SWEEP_CAP",
 ]
 
-DEFAULT_BALANCED_CAP = 40
+DEFAULT_BALANCED_CAP = 88
 DEFAULT_SWEEP_CAP = 42
 
 
@@ -76,66 +85,34 @@ def sturmian_total(n: int) -> int:
     return 1 + sum(phi[q] * (n + 1 - q) for q in range(1, n + 1))
 
 
-def _try_extend(bits, ones, mn, mx, x):
-    """Append symbol x, updating per-window-length one-count ranges.
-
-    Returns (ok, changed): ok is False when some window length now
-    spreads by more than 1; changed lists the (length, old_min, old_max)
-    entries to restore on backtrack.
-    """
-    j = len(bits)
-    s = ones[-1] + x
-    bits.append(x)
-    ones.append(s)
-    changed = []
-    ok = True
-    for ell in range(1, j + 2):
-        v = s - ones[j + 1 - ell]
-        lo = mn[ell]
-        hi = mx[ell]
-        if v < lo or v > hi:
-            nlo = v if v < lo else lo
-            nhi = v if v > hi else hi
-            if nhi - nlo > 1:
-                ok = False
-                break
-            changed.append((ell, lo, hi))
-            mn[ell] = nlo
-            mx[ell] = nhi
-    return ok, changed
-
-
-def _undo_extend(bits, ones, mn, mx, changed):
-    for ell, lo, hi in changed:
-        mn[ell] = lo
-        mx[ell] = hi
-    bits.pop()
-    ones.pop()
-
-
-def _count_completions(n, bits, ones, mn, mx):
-    if len(bits) == n:
-        return 1
-    total = 0
-    for x in (0, 1):
-        ok, changed = _try_extend(bits, ones, mn, mx, x)
-        if ok:
-            total += _count_completions(n, bits, ones, mn, mx)
-        _undo_extend(bits, ones, mn, mx, changed)
-    return total
-
-
-def balanced_count(n: int, cap: int = DEFAULT_BALANCED_CAP) -> int:
-    """Number of balanced binary words of length n, counted by walking
-    the tree of balanced prefixes (unbalanced prefixes cannot extend to
-    balanced words, so pruning loses nothing)."""
+def balanced_counts(n: int, cap: int = DEFAULT_BALANCED_CAP) -> list[int]:
+    """Numbers of balanced binary words of lengths 0..n, all from one
+    walk over the tree of balanced words (see balanced_count)."""
     if n < 0:
         raise ValueError("length must be nonnegative")
     if n > cap:
         raise CapExceededError(
             f"balanced-word enumeration is capped at length {cap}, got {n}"
         )
-    return _count_completions(n, [], [0], [n + 2] * (n + 1), [-1] * (n + 1))
+    return _balanced_counts(n)
+
+
+def balanced_count(n: int, cap: int = DEFAULT_BALANCED_CAP) -> int:
+    """Number of balanced binary words of length n, counted by one
+    depth-first walk over the tree of balanced words.
+
+    The walk carries an eertree and undoes it on backtrack.  A step
+    w -> wx is pruned, in O(1), when the longest palindromic suffix
+    x p x of wx is new while (1-x) p (1-x) is a factor of w (Lothaire,
+    "Algebraic Combinatorics on Words", 2002, Prop. 2.1.3); an
+    unbalanced prefix has no balanced extension, so pruning loses
+    nothing.  Complementing every symbol is a bijection on balanced
+    words, so the walk visits only the words that start with 0 and
+    doubles what it counts.  Every length up to n is counted in the
+    same pass: this is balanced_counts(n)[n].  See
+    words._balanced_counts.
+    """
+    return balanced_counts(n, cap)[n]
 
 
 def rotation_face_count(n: int) -> int:

@@ -5,8 +5,8 @@ parameters; standard and characteristic words come from a directive
 sequence.  Also here: factor sets and factor counts read off a prefix
 of proved length, the balance test with counterexample witness, block
 partitions of characteristic words, a power-freeness check, and the
-eertree of palindromic factors that the balance test and the
-palindrome tools share.
+eertree of palindromic factors that the balance test, the balanced-word
+enumeration and the palindrome tools share.
 
 A word is stored one symbol per byte (values 0 and 1) and can be
 rendered over {0,1} or {a,b} with the fixed letter coding 0 <-> a,
@@ -633,6 +633,104 @@ def balance_witness(w: BinaryWord):
         BinaryWord._from_raw(raw[lo_at : lo_at + ell]),
         BinaryWord._from_raw(raw[hi_at : hi_at + ell]),
     )
+
+
+def _balanced_counts(n: int) -> list[int]:
+    """Numbers of balanced binary words of lengths 0..n, from one
+    depth-first walk over the tree of balanced words.
+
+    The walk carries the eertree of the current word and undoes it on
+    backtrack.  Three proved facts make each step O(1):
+
+    - Prop. 2.1.3 (see balance_witness).  Appending x to a balanced
+      word w unbalances it iff the longest palindromic suffix x p x of
+      wx is new while (1-x) p (1-x) is a factor of w: a pair 0p0, 1p1
+      must appear at this step, and only the longest palindromic
+      suffix can be new.  The test is one child lookup on node p.
+    - Balanced words are rich: each prefix ends in a palindrome that
+      is new.  They are the factors of Sturmian words (Lothaire,
+      Prop. 2.1.17), which are rich (Droubay, Justin and Pirillo,
+      2001), and factors of rich words are rich (Glen, Justin, Widmer
+      and Zamboni, 2009).  So every step adds one node, the node of
+      the prefix of length k is k + 1, and undoing a step clears one
+      child entry.
+    - Complementing every symbol is a bijection on balanced words, so
+      the walk visits only the words that start with 0 and doubles
+      each count for n >= 1.
+
+    Nodes are ints as in PalindromicTree.  In place of the suffix link
+    each node v has a direct link per symbol a: the longest proper
+    palindromic suffix of v that v precedes by a, or the root 0 of
+    length -1 when there is none.  That finds p, and the suffix of a
+    new node, in one lookup each, where suffix links would need a walk
+    whose amortized bound backtracking voids.  Every balanced word has
+    a balanced extension, so the walk descends into one and stacks the
+    other when both grow; it keeps its own stack, so no length can
+    exhaust Python's.
+    """
+    if n < 2:
+        return [1, 2][: n + 1]
+    counts = [1, 1] + [0] * (n - 1)
+    # Node 2 is the palindrome 0, the word's first symbol; its empty
+    # suffix is preceded by 0.
+    length = [-1, 0, 1] + [0] * (n - 1)
+    to0 = [2] + [0] * (n + 1)
+    to1 = [0] * (n + 2)
+    by0 = [0, 0, 1] + [0] * (n - 1)
+    by1 = [0] * (n + 2)
+    up = [0] * (n + 2)  # the node p of v = x p x
+    word = bytearray(n)
+    pending = []  # (depth, x, p): the second extension of a prefix
+    leaf = n - 1
+    depth = 1
+    while True:
+        # p0, p1: the node p for appending 0, 1.  It is the longest
+        # palindromic suffix when the symbol before it matches, else
+        # that node's direct link.
+        node = depth + 1
+        i = depth - length[node] - 1
+        if i < 0:
+            p0, p1 = by0[node], by1[node]
+        elif word[i]:
+            p0, p1 = by0[node], node
+        else:
+            p0, p1 = node, by1[node]
+        grow0 = not (p0 and to1[p0])
+        grow1 = not (p1 and to0[p1])
+        if depth == leaf:
+            counts[n] += grow0 + grow1
+            if not pending:
+                break
+            d, x, p = pending.pop()
+            # Back to depth d: drop the nodes d + 2 .. depth + 1.
+            while depth > d:
+                (to1 if word[depth - 1] else to0)[up[depth + 1]] = 0
+                depth -= 1
+        elif grow0:
+            if grow1:
+                pending.append((depth, 1, p1))
+            x, p = 0, p0
+        else:
+            x, p = 1, p1
+        word[depth] = x
+        depth += 1
+        counts[depth] += 1
+        v = depth + 1
+        length[v] = length[p] + 2
+        if x:
+            s = to1[by1[p]] if p else 1
+            to1[p] = v
+        else:
+            s = to0[by0[p]] if p else 1
+            to0[p] = v
+        # s is the longest proper palindromic suffix of v; the symbol
+        # before it in v is word[depth - 1 - length[s]].
+        if word[depth - 1 - length[s]]:
+            by0[v], by1[v] = by0[s], s
+        else:
+            by0[v], by1[v] = s, by1[s]
+        up[v] = p
+    return [1] + [2 * c for c in counts[1:]]
 
 
 def n_partition(d: DirectiveSequence, m: int, length: int) -> list[int]:

@@ -222,6 +222,25 @@ class TestVerify:
     def test_balanced_vs_formula(self):
         r = run_cli("verify", "balanced-vs-formula", "--nmax", "10")
         assert r.returncode == 0
+        r = run_cli("verify", "balanced-vs-formula", "--nmax", "4", "--format", "csv")
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == [
+            "n,formula,oracle,status",
+            "0,1,1,ok",
+            "1,2,2,ok",
+            "2,4,4,ok",
+            "3,8,8,ok",
+            "4,14,14,ok",
+            "pass",
+        ]
+
+    def test_balanced_vs_formula_cap(self):
+        # the cap is checked before any row is printed
+        r = run_cli("verify", "balanced-vs-formula", "--nmax", "12", "--cap", "11")
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == (
+            "error: balanced-word enumeration is capped at length 11, got 12\n"
+        )
 
     def test_hard_prefix(self):
         r = run_cli("verify", "hard-prefix", "--d", "8,8,1,(1)", "--q", "1")
@@ -327,10 +346,10 @@ class TestErrorsAndCaps:
         assert r.stdout == ""
 
     def test_balanced_default_cap(self):
-        r = run_cli("count", "balanced", "--n", "41")
+        r = run_cli("count", "balanced", "--n", "89")
         assert r.returncode == 1
         assert r.stderr == (
-            "error: balanced-word enumeration is capped at length 40, got 41\n"
+            "error: balanced-word enumeration is capped at length 88, got 89\n"
         )
         r = run_cli("count", "balanced", "--n", "23")
         assert (r.returncode, r.stdout) == (0, "1406\n")

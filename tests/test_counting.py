@@ -1,11 +1,13 @@
 """Counting formulas against their brute-force oracles."""
 
 import math
+import sys
 from collections import Counter
 
 import pytest
 
 from sturmian.counting import (
+    DEFAULT_BALANCED_CAP,
     DEFAULT_SWEEP_CAP,
     FaceSample,
     _floor64,
@@ -13,6 +15,7 @@ from sturmian.counting import (
     arrangement_face_count,
     arrangement_lines,
     balanced_count,
+    balanced_counts,
     euler_phi,
     euler_phi_sieve,
     rotation_face_count,
@@ -127,8 +130,10 @@ class TestSturmianTotal:
         assert sturmian_total(4) == 14
 
     def test_formula_equals_oracle(self):
-        for n in range(17):
-            assert sturmian_total(n) == balanced_count(n)
+        counts = balanced_counts(DEFAULT_BALANCED_CAP)
+        assert len(counts) == DEFAULT_BALANCED_CAP + 1
+        for n, count in enumerate(counts):
+            assert sturmian_total(n) == count
 
     def test_asymptotics(self):
         n = 2000
@@ -151,11 +156,53 @@ class TestBalancedOracle:
             )
             assert balanced_count(n) == literal
 
+    def test_matches_definition(self):
+        # every word up to length 12, by the definition alone: for each
+        # window length the counts of 1 over all windows spread by <= 1
+        def balanced(bits):
+            ones = [0]
+            for b in bits:
+                ones.append(ones[-1] + b)
+            for ell in range(1, len(bits)):
+                counts = [ones[i + ell] - ones[i] for i in range(len(bits) - ell + 1)]
+                if max(counts) - min(counts) > 1:
+                    return False
+            return True
+
+        literal = [
+            sum(balanced([(x >> i) & 1 for i in range(n)]) for x in range(1 << n))
+            for n in range(13)
+        ]
+        assert balanced_counts(12) == literal
+
+    def test_counts_agree_across_lengths(self):
+        top = balanced_counts(30)
+        for n in range(31):
+            assert balanced_counts(n) == top[: n + 1]
+            assert balanced_count(n) == top[n]
+
+    def test_no_recursion(self):
+        # the walk keeps its own stack: a few dozen free frames suffice
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            count = balanced_count(60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count == sturmian_total(60)
+
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            balanced_count(41)
+            balanced_count(DEFAULT_BALANCED_CAP + 1)
+        with pytest.raises(CapExceededError):
+            balanced_counts(DEFAULT_BALANCED_CAP + 1)
         with pytest.raises(CapExceededError):
             balanced_count(10, cap=9)
+        with pytest.raises(ValueError):
+            balanced_counts(-1)
 
 
 class TestFaceFormula:
