@@ -44,6 +44,7 @@ from .ostrowski import (
 )
 from .palindromes import (
     DEFAULT_PROFILE_CAP,
+    _check_profile_length,
     central_word,
     construct_hard_prefix,
     distinct_palindromic_factors,
@@ -350,6 +351,9 @@ def _cmd_ostrowski_enumerate(args) -> int:
 
 
 def _cmd_pal_length(args) -> int:
+    if args.word is None and args.d is not None and args.length is not None:
+        cap = _resolve_cap(args.cap, DEFAULT_PROFILE_CAP)
+        _check_profile_length(args.length, cap)
     _emit_scalar(args.format, pal_length(_word_argument(args)))
     return 0
 
@@ -616,6 +620,7 @@ def _build_parser() -> _Parser:
     pal = p_pal.add_subparsers(dest="what", required=True)
 
     p = pal.add_parser("length", parents=[common, word_in])
+    p.add_argument("--cap", type=int, help="bound on --length with --d")
     p.set_defaults(func=_cmd_pal_length)
 
     p = pal.add_parser("profile", parents=[common])

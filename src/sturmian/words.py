@@ -528,9 +528,9 @@ class PalindromicTree:
         if word is not None:
             self.extend(word)
 
-    def _feed(self, symbols):
-        """Append each symbol, yielding the node of the longest
-        palindromic suffix after it."""
+    def _feed(self, symbols) -> None:
+        """Append each symbol, keeping the node of the longest
+        palindromic suffix."""
         word, length, link, child = self._word, self._len, self._link, self._child
         node = self._last
         for symbol in symbols:
@@ -560,21 +560,19 @@ class PalindromicTree:
                 child[0].append(0)
                 child[1].append(0)
                 to[node] = found
-            node = self._last = found
-            yield node
+            node = found
+        self._last = node
 
     def add(self, symbol: int) -> bool:
         """Append one symbol; True iff a new palindrome appeared."""
         if symbol not in (0, 1):
             raise ValueError("symbols must be 0 or 1")
         size = len(self._len)
-        for _ in self._feed((symbol,)):
-            pass
+        self._feed((symbol,))
         return len(self._len) > size
 
     def extend(self, word: BinaryWord) -> None:
-        for _ in self._feed(word.raw):
-            pass
+        self._feed(word.raw)
 
     @property
     def distinct_count(self) -> int:

@@ -104,6 +104,34 @@ class TestPal:
         r = run_cli("pal", "length", "--d", "fib", "--length", "10")
         assert r.stdout == "2\n"
 
+    def test_length_default_cap(self):
+        # the prefix DP is refused above the cap of `pal profile`, with
+        # its message
+        args = ("--d", "fib", "--length", "200001")
+        r = run_cli("pal", "length", *args)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: profile length is capped at 200000, got 200001\n"
+        assert r.stderr == run_cli("pal", "profile", *args).stderr
+
+    def test_length_cap_flag(self):
+        r = run_cli(
+            "pal", "length", "--d", "fib", "--length", "200001", "--cap", "200001"
+        )
+        assert (r.returncode, r.stdout) == (0, "5\n")
+
+    def test_length_cap_env(self):
+        r = run_cli(
+            "pal", "length", "--d", "fib", "--length", "11",
+            env_extra={"STURM_CAP": "10"},
+        )
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: profile length is capped at 10, got 11\n"
+        # a literal word is not capped
+        r = run_cli(
+            "pal", "length", "--word", "abaabb", env_extra={"STURM_CAP": "1"}
+        )
+        assert (r.returncode, r.stdout) == (0, "3\n")
+
     def test_profile_rows(self):
         r = run_cli("pal", "profile", "--d", "fib", "--length", "100")
         assert r.stdout == "1\t1\n2\t2\n9\t3\n62\t4\n"

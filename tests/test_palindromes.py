@@ -22,6 +22,7 @@ from sturmian.ostrowski import (
 from sturmian.palindromes import (
     PalindromeOccurrence,
     PalindromicTree,
+    _pal_lengths,
     central_word,
     construct_hard_prefix,
     distinct_palindromic_factors,
@@ -647,6 +648,51 @@ def brute_pal_length(raw):
     return go(raw)
 
 
+def suffix_link_pal_lengths(raw):
+    """The full suffix-link DP, without the early exit: dp[i] is one
+    plus the least dp[i - |p|] over every palindromic suffix p of
+    raw[:i], each read off the eertree."""
+    tree = PalindromicTree()
+    dp = [0]
+    for i, symbol in enumerate(raw, 1):
+        tree.add(symbol)
+        dp.append(1 + min(dp[i - ell] for ell in tree.suffix_palindrome_lengths()))
+    return dp
+
+
+def check_pal_lengths(raw):
+    """The one-pass DP row equals the oracle's, and consecutive values
+    differ by at most 1 (PL(w) <= PL(wa) + 1, which the exit uses)."""
+    dp = _pal_lengths(raw)
+    assert dp == suffix_link_pal_lengths(raw)
+    assert all(abs(b - a) <= 1 for a, b in zip(dp, dp[1:]))
+
+
+class TestPalLengthRows:
+    def test_every_short_word(self):
+        for n in range(13):
+            for bits in range(1 << n):
+                check_pal_lengths(bytes((bits >> k) & 1 for k in range(n)))
+
+    def test_random_words(self):
+        # mostly not rich, so the step that finds its node already in
+        # the tree runs too
+        rng = random.Random(20261018)
+        rich = 0
+        for _ in range(200):
+            raw = bytes(rng.randrange(2) for _ in range(rng.randrange(301)))
+            check_pal_lengths(raw)
+            rich += distinct_palindromic_factors(BinaryWord(raw))[1]
+        assert rich < 50
+
+    @pytest.mark.parametrize(
+        "text", ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"]
+    )
+    def test_characteristic_prefixes(self, text):
+        d = DirectiveSequence.parse(text)
+        check_pal_lengths(characteristic_prefix(d, 5000).raw)
+
+
 class TestPalLength:
     def test_examples(self):
         assert pal_length(bw("abaabb")) == 3
@@ -687,6 +733,13 @@ class TestProfile:
             for pair in json.loads((DATA / "fib_profile_records.json").read_text())
         ]
         assert pal_length_profile(FIB, 100_000) == expected
+
+    @pytest.mark.parametrize("text", ["2,(2)", "1,(2)", "0,(1,2)"])
+    def test_golden_records(self, text):
+        golden = json.loads((DATA / "profile_records.json").read_text())
+        expected = [tuple(pair) for pair in golden["records"][text]]
+        d = DirectiveSequence.parse(text)
+        assert pal_length_profile(d, golden["length"]) == expected
 
     def test_record_structure(self):
         inc = DirectiveSequence.parse("1,2,3,4,5,6,7,8,(9)")
