@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -498,6 +499,9 @@ def _cmd_verify_hard_prefix(args) -> int:
     return _emit_verify(args.format, "hard-prefix", headers, rows, passed)
 
 
+# Built once per process: the parser holds no state between calls, and
+# building its ~90 actions costs more than most verbs' work.
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

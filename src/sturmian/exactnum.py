@@ -144,10 +144,6 @@ class ExactReal:
     def is_rational(self) -> bool:
         return self.d == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.d == 0 and self.c == 1
-
     def sign(self) -> int:
         return _radical_sign(self.a, self.b, self.d)
 
@@ -340,15 +336,6 @@ class ContinuedFraction:
             raise ValueError("partial quotients must be positive")
         if not self.periodic and len(self.quotients) > 1 and self.quotients[-1] < 2:
             raise ValueError("canonical finite expansions end with a quotient >= 2")
-
-    def unroll(self, count: int) -> list[int]:
-        """First 1 + count quotients (fewer if the expansion is finite)."""
-        out = list(self.quotients[: count + 1])
-        i = 0
-        while len(out) < count + 1 and self.periodic:
-            out.append(self.periodic[i % len(self.periodic)])
-            i += 1
-        return out
 
     def value(self) -> ExactReal:
         return cf_value(self)

@@ -86,10 +86,7 @@ class OstrowskiRep:
         return len(self.digits) - 1
 
     def render(self) -> str:
-        if not self.digits:
-            return "0"
-        parts = map(str, reversed(self.digits))
-        return ("." if max(self.digits) >= 10 else "").join(parts)
+        return _render(self.digits)
 
     def __str__(self) -> str:
         return self.render()
@@ -101,6 +98,24 @@ class OstrowskiRep:
         if not parts or not all(p.isdigit() for p in parts):
             raise ValueError(f"bad digit string: {text!r}")
         return cls(d, tuple(int(p) for p in reversed(parts)))
+
+
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _render(digits) -> str:
+    """A digit vector, least significant first, as OstrowskiRep.render
+    shows it: most significant first, leading zeros dropped, and the
+    digits joined by dots if any is 10 or more."""
+    top = len(digits)
+    while top and not digits[top - 1]:
+        top -= 1
+    if not top:
+        return "0"
+    msb = digits[top - 1 :: -1]
+    if max(msb) < 10:
+        return bytes(msb).translate(_DIGIT_CHARS).decode("ascii")
+    return ".".join(map(str, msb))
 
 
 def rep_sort_key(rep: OstrowskiRep):
@@ -127,12 +142,21 @@ def encode(N: int, d: DirectiveSequence) -> OstrowskiRep:
             f"finite directive sequence cannot represent {N} "
             f"(its digit range stops below that value)"
         ) from None
-    digits_msb = []
-    rem = N
-    for j in range(top, -1, -1):
-        k, rem = divmod(rem, d.q(j))
-        digits_msb.append(k)
-    return OstrowskiRep(d, tuple(reversed(digits_msb)))
+    qs = [d.q(j) for j in range(top + 1)]
+    return OstrowskiRep(d, tuple(_greedy_digits(N, qs)))
+
+
+def _greedy_digits(N: int, qs) -> list[int]:
+    """The canonical digits of N, least significant first, over the
+    levels qs = [q_0, ..., q_t] with q_{t+1} > N; leading zeros
+    dropped.  Digit j is taken greedily from the top, so the remainder
+    below it is less than q_j."""
+    out = [0] * len(qs)
+    for j in range(len(qs) - 1, -1, -1):
+        out[j], N = divmod(N, qs[j])
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def decode(rep: OstrowskiRep) -> int:

@@ -52,7 +52,10 @@ DEFAULT_RECURRENCE_CAP = 1 << 20
 DEFAULT_STABILIZE_CAP = DEFAULT_RECURRENCE_CAP
 
 _FROM_CHAR = {"0": 0, "1": 1, "a": 0, "b": 1}
-_ALPHABETS = {"01": "01", "ab": "ab"}
+# the translate table of each rendering alphabet
+_ALPHABETS = {
+    a: bytes.maketrans(b"\x00\x01", a.encode()) for a in ("01", "ab")
+}
 
 
 def _parse_symbols(text: str) -> bytes:
@@ -146,8 +149,7 @@ class BinaryWord:
     def to_string(self, alphabet: str = "01") -> str:
         if alphabet not in _ALPHABETS:
             raise ValueError("alphabet must be '01' or 'ab'")
-        offset = 48 if alphabet == "01" else 97
-        return bytes(v + offset for v in self._bits).decode("ascii")
+        return self._bits.translate(_ALPHABETS[alphabet]).decode("ascii")
 
     def __str__(self) -> str:
         return self.to_string()

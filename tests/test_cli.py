@@ -1,16 +1,26 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import sturmian
+from sturmian import cli
 
 BASE = [sys.executable, "-m", "sturmian"]
 # the child runs the package the tests import, installed or not
 SRC = str(pathlib.Path(sturmian.__file__).resolve().parent.parent)
+TPR_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "tpr_stdout_sha256.json")
+    .read_text()
+)["cases"]
 
 
 def run_cli(*args, env_extra=None):
@@ -24,6 +34,14 @@ def run_cli(*args, env_extra=None):
     return subprocess.run(
         BASE + list(args), capture_output=True, text=True, env=env
     )
+
+
+def run_in_process(*args):
+    """(exit code, stdout, stderr) of cli.run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(args))
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestGenerate:
@@ -226,6 +244,21 @@ class TestVerify:
         assert lines[-2] == "occurrences=23 fallbacks=0 failures=0"
         assert lines[-1] == "pass"
 
+    @pytest.mark.parametrize(
+        "case", TPR_DIGESTS,
+        ids=lambda c: f"{c['d']}-{c['pmax']}-{c['format']}",
+    )
+    def test_tpr_stdout_pinned(self, case, monkeypatch):
+        monkeypatch.delenv("STURM_CAP", raising=False)
+        code, out, err = run_in_process(
+            "verify", "tpr", "--d", case["d"], "--pmax", str(case["pmax"]),
+            "--format", case["format"],
+        )
+        assert (code, err) == (case["exit"], "")
+        data = out.encode()
+        assert len(data) == case["bytes"]
+        assert hashlib.sha256(data).hexdigest() == case["sha256"]
+
     def test_tpr_finite_directive_cut_extension(self):
         for pmax in ("11", "12"):
             r = run_cli("verify", "tpr", "--d", "1,2,3", "--pmax", pmax)
@@ -392,6 +425,27 @@ class TestErrorsAndCaps:
             "count", "balanced", "--n", "4", env_extra={"STURM_CAP": "zero"}
         )
         assert r.returncode == 1
+
+
+class TestInProcess:
+    def test_repeated_calls_match_a_fresh_process(self, monkeypatch):
+        # the parser is built once per process; no call may leave state
+        # behind for the next (a format, a default, a usage error)
+        monkeypatch.delenv("STURM_CAP", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike
+        calls = [
+            ("verify", "tpr", "--d", "fib", "--pmax", "20", "--format", "json"),
+            ("verify", "tpr", "--d", "fib", "--pmax", "20"),
+            ("generate", "characteristic", "--d", "fib"),
+            ("generate", "characteristic", "--d", "fib", "--length", "10"),
+            ("count", "sturmian", "--n", "4", "--format", "csv"),
+            ("count", "sturmian", "--n", "4"),
+        ]
+        for args in calls:
+            fresh = run_cli(*args)
+            expected = (fresh.returncode, fresh.stdout, fresh.stderr)
+            assert run_in_process(*args) == expected, args
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestDeterminism:
