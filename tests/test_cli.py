@@ -17,10 +17,11 @@ from sturmian import cli
 BASE = [sys.executable, "-m", "sturmian"]
 # the child runs the package the tests import, installed or not
 SRC = str(pathlib.Path(sturmian.__file__).resolve().parent.parent)
-TPR_DIGESTS = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "tpr_stdout_sha256.json")
-    .read_text()
-)["cases"]
+DATA = pathlib.Path(__file__).parent / "data"
+# stdout digests, exit status and stderr of the parent revision, one argv
+# per case; the tpr file names its cases by directive, pmax and format
+TPR_DIGESTS = json.loads((DATA / "tpr_stdout_sha256.json").read_text())["cases"]
+CLI_DIGESTS = json.loads((DATA / "cli_stdout_sha256.json").read_text())["cases"]
 
 
 def run_cli(*args, env_extra=None):
@@ -42,6 +43,15 @@ def run_in_process(*args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_pinned(argv, case):
+    """cli.run(argv) exits, writes stderr and hashes stdout as pinned."""
+    code, out, err = run_in_process(*argv)
+    assert (code, err) == (case["exit"], case.get("stderr", ""))
+    data = out.encode()
+    assert len(data) == case["bytes"]
+    assert hashlib.sha256(data).hexdigest() == case["sha256"]
 
 
 class TestGenerate:
@@ -250,14 +260,9 @@ class TestVerify:
     )
     def test_tpr_stdout_pinned(self, case, monkeypatch):
         monkeypatch.delenv("STURM_CAP", raising=False)
-        code, out, err = run_in_process(
-            "verify", "tpr", "--d", case["d"], "--pmax", str(case["pmax"]),
-            "--format", case["format"],
-        )
-        assert (code, err) == (case["exit"], "")
-        data = out.encode()
-        assert len(data) == case["bytes"]
-        assert hashlib.sha256(data).hexdigest() == case["sha256"]
+        argv = ["verify", "tpr", "--d", case["d"], "--pmax", str(case["pmax"]),
+                "--format", case["format"]]
+        assert_pinned(argv, case)
 
     def test_tpr_finite_directive_cut_extension(self):
         for pmax in ("11", "12"):
@@ -446,6 +451,17 @@ class TestInProcess:
             expected = (fresh.returncode, fresh.stdout, fresh.stderr)
             assert run_in_process(*args) == expected, args
         assert cli._build_parser() is cli._build_parser()
+
+
+class TestPinned:
+    @pytest.mark.parametrize(
+        "case", CLI_DIGESTS, ids=lambda c: " ".join(c["argv"])
+    )
+    def test_stdout_pinned(self, case, monkeypatch):
+        # every verb but verify tpr, in each format: scalars of each type,
+        # tables, passing and failing verifiers, refused arguments
+        monkeypatch.delenv("STURM_CAP", raising=False)
+        assert_pinned(case["argv"], case)
 
 
 class TestDeterminism:
