@@ -10,142 +10,27 @@ point.  Submodules:
   ostrowski    the numeration system of a directive sequence
   palindromes  palindromic structure, witnesses, palindromic length
   cli          command-line front end
+
+The package exports every name in each submodule's ``__all__``, cli's
+aside.
 """
 
-from .errors import CapExceededError, TheoremViolationError
-from .exactnum import (
-    ContinuedFraction,
-    ExactReal,
-    MixedRadicalError,
-    cf_expand,
-    cf_value,
-    compare,
-    parse_real,
-)
-from .words import (
-    BinaryWord,
-    DirectiveSequence,
-    MechanicalParams,
-    balance_witness,
-    characteristic_factor_count,
-    characteristic_prefix,
-    factor_set,
-    has_kth_power,
-    is_balanced,
-    mechanical_word,
-    n_partition,
-    rotation_word,
-    standard_words,
-)
-from .counting import (
-    ArrangementLine,
-    FaceSample,
-    arrangement_face_count,
-    arrangement_lines,
-    balanced_count,
-    balanced_counts,
-    euler_phi,
-    euler_phi_sieve,
-    rotation_face_count,
-    rotation_word_count,
-    rotation_word_samples,
-    sturmian_total,
-)
-from .ostrowski import (
-    OstrowskiRep,
-    decode,
-    digits_to_word,
-    encode,
-    enumerate_legal_reps,
-    enumerate_valid_reps,
-    is_canonical,
-    is_legal,
-    is_valid,
-    standard_lengths,
-)
-from .palindromes import (
-    OccurrenceWitness,
-    PalindromeOccurrence,
-    PalindromicTree,
-    ZdGapWitness,
-    central_word,
-    construct_hard_prefix,
-    distinct_palindromic_factors,
-    is_palindrome,
-    maximal_palindromic_extension,
-    occurrence_witness,
-    occurrence_witnesses,
-    pal_length,
-    pal_length_profile,
-    palindrome_factor_count,
-    palindromes_starting_at,
-    z_vector,
-    zd_max_gap,
-)
+from . import errors, exactnum, words, counting, ostrowski, palindromes
+from .errors import *
+from .exactnum import *
+from .words import *
+from .counting import *
+from .ostrowski import *
+from .palindromes import *
 
 __version__ = "0.1.0"
 
+# PalindromicTree is public in both words and palindromes
 __all__ = [
-    "CapExceededError",
-    "TheoremViolationError",
-    "ContinuedFraction",
-    "ExactReal",
-    "MixedRadicalError",
-    "cf_expand",
-    "cf_value",
-    "compare",
-    "parse_real",
-    "BinaryWord",
-    "DirectiveSequence",
-    "MechanicalParams",
-    "balance_witness",
-    "characteristic_factor_count",
-    "characteristic_prefix",
-    "factor_set",
-    "has_kth_power",
-    "is_balanced",
-    "mechanical_word",
-    "n_partition",
-    "rotation_word",
-    "standard_words",
-    "ArrangementLine",
-    "FaceSample",
-    "arrangement_face_count",
-    "arrangement_lines",
-    "balanced_count",
-    "balanced_counts",
-    "euler_phi",
-    "euler_phi_sieve",
-    "rotation_face_count",
-    "rotation_word_count",
-    "rotation_word_samples",
-    "sturmian_total",
-    "OstrowskiRep",
-    "decode",
-    "digits_to_word",
-    "encode",
-    "enumerate_legal_reps",
-    "enumerate_valid_reps",
-    "is_canonical",
-    "is_legal",
-    "is_valid",
-    "standard_lengths",
-    "OccurrenceWitness",
-    "PalindromeOccurrence",
-    "PalindromicTree",
-    "ZdGapWitness",
-    "central_word",
-    "construct_hard_prefix",
-    "distinct_palindromic_factors",
-    "is_palindrome",
-    "maximal_palindromic_extension",
-    "occurrence_witness",
-    "occurrence_witnesses",
-    "pal_length",
-    "pal_length_profile",
-    "palindrome_factor_count",
-    "palindromes_starting_at",
-    "z_vector",
-    "zd_max_gap",
+    *dict.fromkeys(
+        name
+        for mod in (errors, exactnum, words, counting, ostrowski, palindromes)
+        for name in mod.__all__
+    ),
     "__version__",
 ]

@@ -85,17 +85,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_scalar(fmt: str, value) -> None:
-    if fmt == "json":
-        print(json.dumps({"schema": 1, "value": value}, sort_keys=True))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["value"])
-        writer.writerow([_cell(value)])
-    else:
-        print(_cell(value))
-
-
 def _emit_table(fmt: str, headers: list[str], rows: list) -> None:
     if fmt == "json":
         doc = {
@@ -113,11 +102,17 @@ def _emit_table(fmt: str, headers: list[str], rows: list) -> None:
             print("\t".join(_cell(x) for x in row))
 
 
-def _emit_verify(
-    fmt: str, name: str, headers: list[str], rows: list, passed: bool
-) -> int:
-    """Rows carry a status column; the report ends with a pass/fail
-    summary (a dedicated field in json, a final line otherwise)."""
+def _emit_scalar(fmt: str, value) -> None:
+    if fmt == "json":
+        print(json.dumps({"schema": 1, "value": value}, sort_keys=True))
+    else:
+        _emit_table(fmt, ["value"], [(value,)])
+
+
+def _emit_verify(fmt: str, name: str, headers: list[str], rows: list) -> int:
+    """Rows end in a status column, "ok" or "FAIL"; the report ends with
+    the verdict (a dedicated field in json, a final line otherwise)."""
+    passed = all(row[-1] == "ok" for row in rows)
     if fmt == "json":
         doc = {
             "schema": 1,
@@ -126,15 +121,8 @@ def _emit_verify(
             "rows": [dict(zip(headers, row)) for row in rows],
         }
         print(json.dumps(doc, sort_keys=True))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow([_cell(x) for x in row])
-        print("pass" if passed else "fail")
     else:
-        for row in rows:
-            print("\t".join(_cell(x) for x in row))
+        _emit_table(fmt, headers, rows)
         print("pass" if passed else "fail")
     return 0 if passed else 2
 
@@ -201,6 +189,12 @@ def _positive(value: int, flag: str) -> int:
     return value
 
 
+def _nonnegative(value: int, flag: str) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+    return value
+
+
 def _cmd_generate_mechanical(args) -> int:
     params = MechanicalParams(
         sigma=_real(args.sigma, "--sigma"),
@@ -257,13 +251,10 @@ def _cmd_count_sturmian(args) -> int:
     if (args.n is None) == (args.upto is None):
         raise ValueError("exactly one of --n or --upto is required")
     if args.n is not None:
-        if args.n < 0:
-            raise ValueError(f"--n must be nonnegative, got {args.n}")
-        _emit_scalar(args.format, sturmian_total(args.n))
+        _emit_scalar(args.format, sturmian_total(_nonnegative(args.n, "--n")))
     else:
-        if args.upto < 0:
-            raise ValueError(f"--upto must be nonnegative, got {args.upto}")
-        rows = [(n, sturmian_total(n)) for n in range(args.upto + 1)]
+        upto = _nonnegative(args.upto, "--upto")
+        rows = [(n, sturmian_total(n)) for n in range(upto + 1)]
         _emit_table(args.format, ["n", "total"], rows)
     return 0
 
@@ -299,9 +290,8 @@ def _cmd_count_palindrome_factors(args) -> int:
 
 
 def _cmd_ostrowski_encode(args) -> int:
-    if args.n < 0:
-        raise ValueError(f"--n must be nonnegative, got {args.n}")
-    _emit_scalar(args.format, encode(args.n, _directive(args.d)).render())
+    rep = encode(_nonnegative(args.n, "--n"), _directive(args.d))
+    _emit_scalar(args.format, rep.render())
     return 0
 
 
@@ -319,33 +309,22 @@ def _parse_digits(text: str, d: DirectiveSequence) -> OstrowskiRep:
     return rep
 
 
-def _cmd_ostrowski_decode(args) -> int:
+def _cmd_ostrowski_digits(args) -> int:
+    """decode, legal and valid: one reading of the vector --digits."""
+    read = {"decode": decode, "legal": is_legal, "valid": is_valid}[args.what]
     rep = _parse_digits(args.digits, _directive(args.d))
-    _emit_scalar(args.format, decode(rep))
-    return 0
-
-
-def _cmd_ostrowski_legal(args) -> int:
-    rep = _parse_digits(args.digits, _directive(args.d))
-    _emit_scalar(args.format, is_legal(rep))
-    return 0
-
-
-def _cmd_ostrowski_valid(args) -> int:
-    rep = _parse_digits(args.digits, _directive(args.d))
-    _emit_scalar(args.format, is_valid(rep))
+    _emit_scalar(args.format, read(rep))
     return 0
 
 
 def _cmd_ostrowski_enumerate(args) -> int:
     d = _directive(args.d)
     cap = _resolve_cap(args.cap, DEFAULT_ENUM_CAP)
-    if args.n < 0:
-        raise ValueError(f"--n must be nonnegative, got {args.n}")
+    n = _nonnegative(args.n, "--n")
     if args.legal:
-        reps = enumerate_legal_reps(args.n, d, cap=cap)
+        reps = enumerate_legal_reps(n, d, cap=cap)
     else:
-        reps = enumerate_valid_reps(args.n, d, cap=cap)
+        reps = enumerate_valid_reps(n, d, cap=cap)
     rows = [(rep.render(),) for rep in sorted(reps, key=rep_sort_key)]
     _emit_table(args.format, ["digits"], rows)
     return 0
@@ -397,15 +376,15 @@ def _cmd_verify_tpr(args) -> int:
     if pmax > cap:
         raise CapExceededError(f"--pmax is capped at {cap}, got {pmax}")
     records = list(occurrence_witnesses(d, pmax))
-    failures = sum(rec.get("status") == "FAIL" for rec in records)
-    fallbacks = sum(rec.get("fallback_used", False) for rec in records)
-    passed = failures == 0
     if args.format == "csv":
         rows = [
             [{**_NO_WITNESS, "status": "ok", **rec}[h] for h in _TPR_HEADERS]
             for rec in records
         ]
-        return _emit_verify("csv", "tpr", _TPR_HEADERS, rows, passed)
+        return _emit_verify("csv", "tpr", _TPR_HEADERS, rows)
+    failures = sum(rec.get("status") == "FAIL" for rec in records)
+    fallbacks = sum(rec.get("fallback_used", False) for rec in records)
+    passed = failures == 0
     if args.format == "json":
         doc = {
             "schema": 1,
@@ -425,78 +404,58 @@ def _cmd_verify_tpr(args) -> int:
     return 0 if passed else 2
 
 
+# the cells of a scan that found no pair of representations
+_NO_GAP = {"n": -1, "digit_index": -1, "rep_a": "", "rep_b": ""}
+
+
 def _cmd_verify_zd(args) -> int:
     d = _directive(args.d)
     cap = _resolve_cap(args.cap, DEFAULT_ENUM_CAP)
-    if args.nmax < 0:
-        raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
-    gap, witness = zd_max_gap(d, args.nmax, cap=cap)
-    passed = gap <= args.bound
-    if witness is None:
-        row = (gap, args.bound, -1, -1, "", "", "ok" if passed else "FAIL")
-    else:
-        rec = witness.to_record()
-        row = (
-            gap,
-            args.bound,
-            rec["n"],
-            rec["digit_index"],
-            rec["rep_a"],
-            rec["rep_b"],
-            "ok" if passed else "FAIL",
-        )
+    gap, witness = zd_max_gap(d, _nonnegative(args.nmax, "--nmax"), cap=cap)
     headers = ["gap", "bound", "n", "digit_index", "rep_a", "rep_b", "status"]
-    return _emit_verify(args.format, "zd", headers, [row], passed)
+    rec = witness.to_record() if witness is not None else _NO_GAP
+    status = "ok" if gap <= args.bound else "FAIL"
+    row = (gap, args.bound, rec["n"], rec["digit_index"], rec["rep_a"],
+           rec["rep_b"], status)
+    return _emit_verify(args.format, "zd", headers, [row])
 
 
 def _cmd_verify_h_pattern(args) -> int:
     d = _directive(args.d)
     nmax = _positive(args.nmax, "--nmax")
     rows = []
-    passed = True
     for n in range(1, nmax + 1):
         expected = 2 if n % 2 == 1 else 1
         got = palindrome_factor_count(d, n)
-        ok = got == expected
-        passed = passed and ok
-        rows.append((n, got, expected, "ok" if ok else "FAIL"))
+        rows.append((n, got, expected, "ok" if got == expected else "FAIL"))
     headers = ["n", "count", "expected", "status"]
-    return _emit_verify(args.format, "h-pattern", headers, rows, passed)
+    return _emit_verify(args.format, "h-pattern", headers, rows)
 
 
 def _cmd_verify_balanced_vs_formula(args) -> int:
-    if args.nmax < 0:
-        raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
+    nmax = _nonnegative(args.nmax, "--nmax")
     cap = _resolve_cap(args.cap, DEFAULT_BALANCED_CAP)
-    oracles = balanced_counts(args.nmax, cap=cap)
     rows = []
-    passed = True
-    for n, oracle in enumerate(oracles):
+    for n, oracle in enumerate(balanced_counts(nmax, cap=cap)):
         formula = sturmian_total(n)
-        ok = formula == oracle
-        passed = passed and ok
-        rows.append((n, formula, oracle, "ok" if ok else "FAIL"))
+        status = "ok" if formula == oracle else "FAIL"
+        rows.append((n, formula, oracle, status))
     headers = ["n", "formula", "oracle", "status"]
-    return _emit_verify(
-        args.format, "balanced-vs-formula", headers, rows, passed
-    )
+    return _emit_verify(args.format, "balanced-vs-formula", headers, rows)
 
 
 def _cmd_verify_hard_prefix(args) -> int:
     d = _directive(args.d)
-    if args.q < 0:
-        raise ValueError(f"--q must be nonnegative, got {args.q}")
-    n = construct_hard_prefix(d, args.q)
+    n = construct_hard_prefix(d, _nonnegative(args.q, "--q"))
     cap = _resolve_cap(None, DEFAULT_PROFILE_CAP)
     if n > cap:
         raise CapExceededError(
             f"hard-prefix length is capped at {cap}, got {n}"
         )
     measured = pal_length(characteristic_prefix(d, n))
-    passed = measured > args.q
-    rows = [(n, measured, args.q, "ok" if passed else "FAIL")]
+    rows = [(n, measured, args.q, "ok" if measured > args.q else "FAIL")]
     headers = ["prefix", "pal_length", "budget", "status"]
-    return _emit_verify(args.format, "hard-prefix", headers, rows, passed)
+    return _emit_verify(args.format, "hard-prefix", headers, rows)
 
 
 # Built once per process: the parser holds no state between calls, and
@@ -597,20 +556,11 @@ def _build_parser() -> _Parser:
     o.add_argument("--n", type=int, required=True)
     o.set_defaults(func=_cmd_ostrowski_encode)
 
-    o = ost.add_parser("decode", parents=[common])
-    o.add_argument("--d", required=True)
-    o.add_argument("--digits", required=True)
-    o.set_defaults(func=_cmd_ostrowski_decode)
-
-    o = ost.add_parser("legal", parents=[common])
-    o.add_argument("--d", required=True)
-    o.add_argument("--digits", required=True)
-    o.set_defaults(func=_cmd_ostrowski_legal)
-
-    o = ost.add_parser("valid", parents=[common])
-    o.add_argument("--d", required=True)
-    o.add_argument("--digits", required=True)
-    o.set_defaults(func=_cmd_ostrowski_valid)
+    for verb in ("decode", "legal", "valid"):
+        o = ost.add_parser(verb, parents=[common])
+        o.add_argument("--d", required=True)
+        o.add_argument("--digits", required=True)
+        o.set_defaults(func=_cmd_ostrowski_digits)
 
     o = ost.add_parser("enumerate", parents=[common])
     o.add_argument("--d", required=True)

@@ -7,12 +7,8 @@ and an exact sweep / face enumeration of the dual line arrangement in
 the unit parameter square.
 
 The enumeration is one depth-first walk over the tree of balanced
-words that start with 0, counting every length up to n in one pass.
-It rests on two proved facts: a step w -> wx unbalances w only if the
-new longest palindromic suffix x p x meets an old (1-x) p (1-x)
-(Lothaire, Prop. 2.1.3), a test of O(1) on an eertree the walk undoes
-on backtrack; and complementing symbols preserves balance, so the
-counts are doubled.
+words, counting every length up to n in one pass; words._balanced_counts
+states the proved facts that prune it in O(1) per step.
 """
 
 from __future__ import annotations
@@ -22,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .exactnum import ExactReal, _floor_quadratic, _radical_sign, compare
-from .words import BinaryWord, _balanced_counts, _rotation_raw
+from .exactnum import ExactReal, _floor_quadratic, _radical_sign
+from .words import BinaryWord, _balanced_counts, _require_unit, _rotation_raw
 
 __all__ = [
     "euler_phi",
@@ -98,20 +94,8 @@ def balanced_counts(n: int, cap: int = DEFAULT_BALANCED_CAP) -> list[int]:
 
 
 def balanced_count(n: int, cap: int = DEFAULT_BALANCED_CAP) -> int:
-    """Number of balanced binary words of length n, counted by one
-    depth-first walk over the tree of balanced words.
-
-    The walk carries an eertree and undoes it on backtrack.  A step
-    w -> wx is pruned, in O(1), when the longest palindromic suffix
-    x p x of wx is new while (1-x) p (1-x) is a factor of w (Lothaire,
-    "Algebraic Combinatorics on Words", 2002, Prop. 2.1.3); an
-    unbalanced prefix has no balanced extension, so pruning loses
-    nothing.  Complementing every symbol is a bijection on balanced
-    words, so the walk visits only the words that start with 0 and
-    doubles what it counts.  Every length up to n is counted in the
-    same pass: this is balanced_counts(n)[n].  See
-    words._balanced_counts.
-    """
+    """Number of balanced binary words of length n: balanced_counts(n)[n],
+    from the one pruned walk of words._balanced_counts."""
     return balanced_counts(n, cap)[n]
 
 
@@ -141,11 +125,6 @@ class ArrangementLine:
         return self.level - alpha * self.coeff
 
 
-def _check_sigma(sigma: ExactReal) -> None:
-    if not (sigma.sign() > 0 and compare(sigma, 1) < 0):
-        raise ValueError(f"sigma must lie in (0,1), got {sigma}")
-
-
 def _line_triples(order: int) -> list[tuple[int, int, int]]:
     """(coeff, n, e) for each line coeff * alpha + rho = n + e * sigma of
     the order-n arrangement: the boundaries rho = 0 and rho = 1, the
@@ -162,7 +141,7 @@ def arrangement_lines(order: int, sigma: ExactReal) -> list[ArrangementLine]:
     """All lines of the order-n arrangement that meet the open unit
     square, plus the two horizontal boundaries."""
     triples = _line_triples(order)
-    _check_sigma(sigma)
+    _require_unit(sigma, "sigma", strict_low=True)
     return [
         ArrangementLine(coeff, ExactReal(n) - sigma, "shifted") if e
         else ArrangementLine(coeff, ExactReal(n), "integer" if coeff else "boundary")
@@ -235,7 +214,7 @@ def _strips(sigma: ExactReal, length: int, cap: int):
         )
     if sigma.is_rational:
         raise ValueError("sweep needs an irrational sigma (rational slopes degenerate)")
-    _check_sigma(sigma)
+    _require_unit(sigma, "sigma", strict_low=True)
     sa, sb, sc, d = sigma.a, sigma.b, sigma.c, sigma.d
 
     # Each family of parallel lines (coeff, e) has n running over
@@ -324,7 +303,7 @@ def arrangement_face_count(sigma: ExactReal, order: int) -> int:
     edges - vertices + 1.
     """
     triples = _line_triples(order)
-    _check_sigma(sigma)
+    _require_unit(sigma, "sigma", strict_low=True)
     sa, sb, sc, d = sigma.a, sigma.b, sigma.c, sigma.d
     # line i: coeff * alpha + rho = (p + r sqrt(d)) / sc
     lines = [(coeff, n * sc + e * sa, e * sb) for coeff, n, e in triples]

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["CapExceededError", "TheoremViolationError"]
+
 
 class CapExceededError(RuntimeError):
     """An enumeration, a scan or a prefix would exceed its configured cap."""

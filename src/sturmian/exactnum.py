@@ -260,14 +260,15 @@ class ExactReal:
         return _radical_sign(self.a - n * self.c, self.b, self.d)
 
     def floor(self) -> int:
-        if self.d == 0:
-            return self.a // self.c
-        m = _floor_quadratic(self.a, self.b, self.c, self.d)
-        while self._cmp_int(m + 1) >= 0:
-            m += 1
-        while self._cmp_int(m) < 0:
-            m -= 1
-        return m
+        """Exact, with no correction step.
+
+        In normal form c > 0, and b != 0 implies d squarefree >= 2, so
+        b^2 d is never a perfect square (each prime of d divides it to an
+        odd power).  Hence isqrt(b^2 d - 1) = isqrt(b^2 d), and the
+        ceiling of |b| sqrt(d) that _floor_quadratic takes for b < 0 is
+        exactly isqrt(b^2 d) + 1.  For b = 0 it returns a // c.
+        """
+        return _floor_quadratic(self.a, self.b, self.c, self.d)
 
     def frac(self) -> ExactReal:
         return self - ExactReal(self.floor())

@@ -12,10 +12,7 @@ occurrence_witness checks one occurrence; occurrence_witnesses, the
 batch behind `verify tpr`, yields the same records for every
 occurrence up to a bound from one Manacher pass, with the witness rule
 shared between the two (see _witness) and reading a per-p1 table of
-digits and prefix sums.  list(occurrence_witnesses(fib, 5000)) takes
-0.48 s, against 1.38 s when each record built an OstrowskiRep and an
-OccurrenceWitness (medians of ten interleaved fresh-process runs on a
-2-vCPU VM with Python 3.11.7).
+digits and prefix sums.
 
 pal_length, pal_length_profile and `verify hard-prefix` share one
 palindromic-length DP, _pal_lengths: one pass that inserts each symbol

@@ -5,8 +5,10 @@ parameters; standard and characteristic words come from a directive
 sequence.  Also here: factor sets and factor counts read off a prefix
 of proved length, the balance test with counterexample witness, block
 partitions of characteristic words, a power-freeness check, and the
-eertree of palindromic factors that the balance test, the balanced-word
-enumeration and the palindrome tools share.
+eertree of palindromic factors, PalindromicTree, that the balance test
+and the palindrome tools share.  The balanced-word enumeration
+(_balanced_counts) and the palindromic-length DP
+(palindromes._pal_lengths) each carry their own inlined eertree.
 
 A word is stored one symbol per byte (values 0 and 1) and can be
 rendered over {0,1} or {a,b} with the fixed letter coding 0 <-> a,
@@ -647,6 +649,8 @@ def _balanced_counts(n: int) -> list[int]:
       wx is new while (1-x) p (1-x) is a factor of w: a pair 0p0, 1p1
       must appear at this step, and only the longest palindromic
       suffix can be new.  The test is one child lookup on node p.
+      Pruning loses nothing: an unbalanced word has no balanced
+      extension, since every factor of a balanced word is balanced.
     - Balanced words are rich: each prefix ends in a palindrome that
       is new.  They are the factors of Sturmian words (Lothaire,
       Prop. 2.1.17), which are rich (Droubay, Justin and Pirillo,

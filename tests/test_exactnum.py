@@ -149,6 +149,20 @@ def test_floor_brackets_value_random():
         )
         f = x.floor()
         assert ExactReal.rational(f) <= x < ExactReal.rational(f + 1)
+    # b of either sign, and x within 1/c of an integer n: with
+    # s = floor(b sqrt(d)) and a = n c - s - k, x lies in (n - k/c,
+    # n + (1 - k)/c), just above n for k = 0 and just below it for k = 1
+    for _ in range(2000):
+        b = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        c = rng.randint(1, 10**3)
+        d = rng.choice([2, 3, 5, 6, 7, 13, 9973])
+        n, k = rng.randint(-10**3, 10**3), rng.randint(0, 1)
+        root = math.isqrt(b * b * d)
+        s = root if b > 0 else -root - 1
+        x = ExactReal(n * c - s - k, b, c, d)
+        f = x.floor()
+        assert ExactReal.rational(f) <= x < ExactReal.rational(f + 1)
+        assert f == n - k
 
 
 def test_integer_floor_matches_bracketing():
