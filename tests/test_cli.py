@@ -18,10 +18,16 @@ BASE = [sys.executable, "-m", "sturmian"]
 # the child runs the package the tests import, installed or not
 SRC = str(pathlib.Path(sturmian.__file__).resolve().parent.parent)
 DATA = pathlib.Path(__file__).parent / "data"
-# stdout digests, exit status and stderr of the parent revision, one argv
-# per case; the tpr file names its cases by directive, pmax and format
-TPR_DIGESTS = json.loads((DATA / "tpr_stdout_sha256.json").read_text())["cases"]
-CLI_DIGESTS = json.loads((DATA / "cli_stdout_sha256.json").read_text())["cases"]
+
+
+def _cases(name):
+    """Pinned stdout digests, exit status and stderr: an argv per case in
+    the cli file, a directive, pmax and format per case in the tpr file."""
+    return json.loads((DATA / name).read_text())["cases"]
+
+
+TPR_DIGESTS = _cases("tpr_stdout_sha256.json")
+CLI_DIGESTS = _cases("cli_stdout_sha256.json")
 
 
 def run_cli(*args, env_extra=None):
