@@ -367,6 +367,8 @@ _TPR_HEADERS = ["p1", "p2", "rep_p1", "m", "y_m", "rep_p2", "fallback_used",
 # the csv cells of an occurrence without a witness
 _NO_WITNESS = {"rep_p1": "", "m": -1, "y_m": -1, "rep_p2": "",
                "fallback_used": False}
+# the encoder json.dumps(rec, sort_keys=True) would build once per record
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _cmd_verify_tpr(args) -> int:
@@ -396,8 +398,7 @@ def _cmd_verify_tpr(args) -> int:
         }
         print(json.dumps(doc, sort_keys=True))
     else:
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True))
+        sys.stdout.writelines(f"{_SORTED_JSON.encode(rec)}\n" for rec in records)
         print(f"occurrences={len(records)} fallbacks={fallbacks} "
               f"failures={failures}")
         print("pass" if passed else "fail")

@@ -121,26 +121,47 @@ class ArrangementLine:
     level: ExactReal
     kind: str
 
-    def height_at(self, alpha: ExactReal) -> ExactReal:
-        return self.level - alpha * self.coeff
 
-
-def _line_triples(order: int) -> list[tuple[int, int, int]]:
-    """(coeff, n, e) for each line coeff * alpha + rho = n + e * sigma of
-    the order-n arrangement: the boundaries rho = 0 and rho = 1, the
+def _families(order: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The order-n arrangement as families of parallel lines: (coeff, e)
+    -> (lo, hi) for the lines coeff * alpha + rho = n + e * sigma with
+    lo <= n <= hi.  In order: the boundaries rho = 0 and rho = 1, the
     integer lines (e = 0), then the shifted lines (e = -1)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    triples = [(0, 0, 0), (0, 1, 0)]
-    triples += [(q, n, 0) for q in range(1, order + 1) for n in range(1, q + 1)]
-    triples += [(q, n, -1) for q in range(order + 1) for n in range(1, q + 2)]
-    return triples
+    spans = {(0, 0): (0, 1)}
+    spans.update({(q, 0): (1, q) for q in range(1, order + 1)})
+    spans.update({(q, -1): (1, q + 1) for q in range(order + 1)})
+    return spans
+
+
+def _line_triples(spans) -> list[tuple[int, int, int]]:
+    """(coeff, n, e) for each line of the families, family by family."""
+    return [(c, n, e) for (c, e), (lo, hi) in spans.items() for n in range(lo, hi + 1)]
+
+
+def _meetings(spans):
+    """Yield (c1, e1, c2, e2, dns) for each two families with c1 > c2.
+
+    Line n1 of the first family meets line n1 - dn of the second at
+    alpha = (dn + de sigma) / dc, with dc = c1 - c2 and de = e1 - e2.
+    As 0 < sigma < 1 and de is -1, 0 or 1, that lies in (0, 1) iff dn
+    runs from (de <= 0) to dc - (de >= 0); dns is that range cut to the
+    differences of the two families' n.
+    """
+    for (c1, e1), (lo1, hi1) in spans.items():
+        for (c2, e2), (lo2, hi2) in spans.items():
+            if c1 > c2:
+                de = e1 - e2
+                first = max(lo1 - hi2, int(de <= 0))
+                last = min(hi1 - lo2, c1 - c2 - int(de >= 0))
+                yield c1, e1, c2, e2, range(first, last + 1)
 
 
 def arrangement_lines(order: int, sigma: ExactReal) -> list[ArrangementLine]:
     """All lines of the order-n arrangement that meet the open unit
     square, plus the two horizontal boundaries."""
-    triples = _line_triples(order)
+    triples = _line_triples(_families(order))
     _require_unit(sigma, "sigma", strict_low=True)
     return [
         ArrangementLine(coeff, ExactReal(n) - sigma, "shifted") if e
@@ -217,28 +238,16 @@ def _strips(sigma: ExactReal, length: int, cap: int):
     _require_unit(sigma, "sigma", strict_low=True)
     sa, sb, sc, d = sigma.a, sigma.b, sigma.c, sigma.d
 
-    # Each family of parallel lines (coeff, e) has n running over
-    # [lo, hi]; two families meet at alpha = (dn + de sigma) / dc.
-    span: dict[tuple[int, int], tuple[int, int]] = {}
-    for coeff, n, e in _line_triples(length - 1):
-        lo, hi = span.get((coeff, e), (n, n))
-        span[coeff, e] = (min(lo, n), max(hi, n))
+    spans = _families(length - 1)
     breaks = {(0, 0, 1), (1, 0, 1)}
-    for (c1, e1), (lo1, hi1) in span.items():
-        for (c2, e2), (lo2, hi2) in span.items():
-            if c1 <= c2:
-                continue
-            dc, de = c1 - c2, e1 - e2
-            # As 0 < sigma < 1 and de is -1, 0 or 1, dn + de sigma lies
-            # in (0, dc) iff dn runs from (de <= 0) to dc - (de >= 0).
-            first = max(lo1 - hi2, int(de <= 0))
-            last = min(hi1 - lo2, dc - int(de >= 0))
-            for dn in range(first, last + 1):
-                breaks.add(_reduced(dn * sc + de * sa, de * sb, sc * dc))
+    for c1, e1, c2, e2, dns in _meetings(spans):
+        dc, de = c1 - c2, e1 - e2
+        for dn in dns:
+            breaks.add(_reduced(dn * sc + de * sa, de * sb, sc * dc))
     breaks = list(breaks)
     cuts = _sorted_exact(breaks, [_floor64(*pt, d) for pt in breaks], d)
 
-    crossing = [fam for fam in span if fam != (0, 0)]
+    crossing = [fam for fam in spans if fam != (0, 0)]
     for (u0, u1, uc), (v0, v1, vc) in zip(cuts, cuts[1:]):
         m0, m1, m = _reduced(u0 * vc + v0 * uc, u1 * vc + v1 * uc, 2 * uc * vc)
         den, a0, a1, s0, s1 = sc * m, sc * m0, sc * m1, sa * m, sb * m
@@ -300,37 +309,42 @@ def arrangement_face_count(sigma: ExactReal, order: int) -> int:
 
     Independent of rotation_face_count: this builds every vertex and
     edge of the subdivision (square edges included) and returns
-    edges - vertices + 1.
+    edges - vertices + 1.  Vertices inside the square are found per
+    pair of parallel families, not per pair of lines: at each alpha
+    where two families meet, at most two lines of one family pass
+    through rho in [0, 1], so the work is O(order^3), not O(order^4).
     """
-    triples = _line_triples(order)
+    spans = _families(order)
     _require_unit(sigma, "sigma", strict_low=True)
     sa, sb, sc, d = sigma.a, sigma.b, sigma.c, sigma.d
-    # line i: coeff * alpha + rho = (p + r sqrt(d)) / sc
-    lines = [(coeff, n * sc + e * sa, e * sb) for coeff, n, e in triples]
-    curves = [set() for _ in lines]
+    curves = {line: set() for line in _line_triples(spans)}
     walls = (set(), set())  # alpha = 0 and alpha = 1
 
-    for i, (ci, pi, ri) in enumerate(lines):
-        on_i = curves[i]
-        for j in range(i + 1, len(lines)):
-            cj, pj, rj = lines[j]
-            delta = ci - cj
-            if delta == 0:
-                continue
-            # alpha = (level_i - level_j) / delta and
-            # rho = (ci level_j - cj level_i) / delta, over sc * delta.
-            a0, a1 = pi - pj, ri - rj
-            r0, r1 = ci * pj - cj * pi, ci * rj - cj * ri
-            if delta < 0:
-                a0, a1, r0, r1, delta = -a0, -a1, -r0, -r1, -delta
-            den = sc * delta
-            if _in_unit(a0, a1, den, d) and _in_unit(r0, r1, den, d):
-                pt = _reduced(a0, a1, r0, r1, den)
-                on_i.add(pt)
-                curves[j].add(pt)
+    for c1, e1, c2, e2, dns in _meetings(spans):
+        (lo1, hi1), (lo2, hi2) = spans[c1, e1], spans[c2, e2]
+        dc, de = c1 - c2, e1 - e2
+        den = sc * dc
+        a1 = de * sb
+        t1 = c1 * a1 - e1 * sb * dc
+        for dn in dns:
+            # alpha = (a0 + a1 sqrt(d)) / den.  Line n1 of the first
+            # family is at height n1 - t there, with t = c1 alpha - e1
+            # sigma = (t0 + t1 sqrt(d)) / den, which lies in [0, 1] iff
+            # ceil(t) <= n1 <= floor(t) + 1.
+            a0 = dn * sc + de * sa
+            t0 = c1 * a0 - e1 * sa * dc
+            f = _floor_quadratic(t0, t1, den, d)
+            # ceil(t) = f only for a whole t, which needs a rational t
+            low = f if t0 == f * den and not (t1 and d) else f + 1
+            for n1 in range(max(low, lo1, lo2 + dn), min(f + 1, hi1, hi2 + dn) + 1):
+                pt = _reduced(a0, a1, n1 * den - t0, -t1, den)
+                curves[c1, n1, e1].add(pt)
+                curves[c2, n1 - dn, e2].add(pt)
+    # The walls: each line through them gets its point there, so vertices
+    # at alpha = 0 or 1 need no pair of families.
     for v, wall in enumerate(walls):
-        for (coeff, p, r), on_line in zip(lines, curves):
-            p -= coeff * v * sc
+        for (coeff, n, e), on_line in curves.items():
+            p, r = (n - coeff * v) * sc + e * sa, e * sb
             if _in_unit(p, r, sc, d):
                 pt = _reduced(v * sc, 0, p, r, sc)
                 wall.add(pt)
@@ -338,7 +352,7 @@ def arrangement_face_count(sigma: ExactReal, order: int) -> int:
 
     vertices = set()
     edges = 0
-    for pts in (*curves, *walls):
+    for pts in (*curves.values(), *walls):
         if not pts:
             continue
         vertices |= pts

@@ -17,6 +17,7 @@ rendered over {0,1} or {a,b} with the fixed letter coding 0 <-> a,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError
@@ -361,20 +362,25 @@ def mechanical_word(params: MechanicalParams, n: int) -> BinaryWord:
     sign = 1 if params.flavor == "lower" else -1
     sigma, rho = params.sigma * sign, params.rho * sign
     if sigma.d and rho.d and sigma.d != rho.d:
-        def floor_at(k):
-            return _sum_floor(sigma * k, rho)
-    else:
-        c, d = sigma.c * rho.c, sigma.d or rho.d
-        a0, da = rho.a * sigma.c, sigma.a * rho.c
-        b0, db = rho.b * sigma.c, sigma.b * rho.c
-
-        def floor_at(k):
-            return _floor_quadratic(a0 + k * da, b0 + k * db, c, d)
-    out = bytearray()
-    prev = floor_at(0)
-    for k in range(1, n + 1):
-        cur = floor_at(k)
-        out.append(sign * (cur - prev))
+        floors = [_sum_floor(sigma * k, rho) for k in range(n + 1)]
+        steps = zip(floors, floors[1:])
+        return BinaryWord._from_raw(bytes(sign * (y - x) for x, y in steps))
+    # a and b run through A_k and B_k; each floor is _floor_quadratic's,
+    # taken inline.
+    c, d = sigma.c * rho.c, sigma.d or rho.d
+    a, da = rho.a * sigma.c, sigma.a * rho.c
+    b, db = rho.b * sigma.c, sigma.b * rho.c
+    prev = _floor_quadratic(a, b, c, d)
+    isqrt = math.isqrt
+    out = bytearray(n)
+    for k in range(n):
+        a += da
+        b += db
+        if b >= 0:
+            cur = (a + isqrt(b * b * d)) // c
+        else:
+            cur = (a - isqrt(b * b * d - 1) - 1) // c
+        out[k] = sign * (cur - prev)
         prev = cur
     return BinaryWord._from_raw(bytes(out))
 

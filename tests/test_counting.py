@@ -1,6 +1,7 @@
 """Counting formulas against their brute-force oracles."""
 
 import math
+import random
 import sys
 from collections import Counter
 
@@ -34,6 +35,27 @@ IRRATIONAL_SIGMAS = [
 RATIONAL_SIGMAS = [ExactReal.rational(1, 3), ExactReal.rational(1, 2), ExactReal.rational(2, 7)]
 
 
+def random_sigmas(seed, count):
+    """Seeded sigmas in (0, 1): a third rational with denominators 21 to
+    60, the rest (a + b sqrt(d)) / c with d up to the prime 1000003."""
+    rng = random.Random(seed)
+    sigmas = [ExactReal(-1000, 1, 1, 1000003)]  # about 0.0015
+    while len(sigmas) < count:
+        if len(sigmas) % 3 == 0:
+            q = rng.randint(21, 60)
+            sigmas.append(ExactReal.rational(rng.randint(1, q - 1), q))
+            continue
+        b, c = rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 40)
+        d = rng.randint(2, 1000003)
+        if any(d % (p * p) == 0 for p in range(2, math.isqrt(d) + 1)):
+            continue
+        root = math.isqrt(b * b * d)
+        # a + b sqrt(d) = k + {b sqrt(d)} lies in (0, c) for 0 <= k < c
+        a = rng.randint(0, c - 1) - (root if b > 0 else -root - 1)
+        sigmas.append(ExactReal(a, b, c, d))
+    return sigmas
+
+
 def brute_arrangement_face_count(sigma, order):
     """Faces of the order-n arrangement by the Euler relation, with every
     vertex an (alpha, rho) pair of ExactReal values."""
@@ -54,14 +76,14 @@ def brute_arrangement_face_count(sigma, order):
             a = (li.level - lj.level) / (li.coeff - lj.coeff)
             if not in_unit(a):
                 continue
-            r = li.height_at(a)
+            r = li.level - a * li.coeff
             if not in_unit(r):
                 continue
             points_on[("l", i)].add((a, r))
             points_on[("l", j)].add((a, r))
     for vi, v in enumerate((zero, one)):
         for i, li in enumerate(lines):
-            r = li.height_at(v)
+            r = li.level - v * li.coeff
             if in_unit(r):
                 points_on[("v", vi)].add((v, r))
                 points_on[("l", i)].add((v, r))
@@ -92,7 +114,7 @@ def brute_rotation_word_samples(sigma, length):
         heights = []
         for ln in lines:
             if ln.kind != "boundary":
-                h = ln.height_at(a_mid)
+                h = ln.level - a_mid * ln.coeff
                 if h.sign() > 0 and compare(h, 1) < 0:
                     heights.append((h, ln))
         heights.sort(key=lambda item: item[0])
@@ -228,10 +250,16 @@ class TestFaceFormula:
                 assert arrangement_face_count(sigma, order) == brute_arrangement_face_count(
                     sigma, order
                 ), (str(sigma), order)
+        for sigma in random_sigmas(13, 9):
+            assert 0 < sigma < 1
+            for order in range(7):
+                assert arrangement_face_count(sigma, order) == brute_arrangement_face_count(
+                    sigma, order
+                ), (str(sigma), order)
 
-    def test_formula_to_order_14(self):
+    def test_formula_to_order_24(self):
         for sigma in IRRATIONAL_SIGMAS:
-            for order in range(1, 15):
+            for order in range(1, 25):
                 assert arrangement_face_count(sigma, order) == rotation_face_count(order)
 
 
@@ -275,7 +303,7 @@ class TestRotationSweep:
         assert samples
         for sample in samples:
             for ln in lines:
-                assert ln.height_at(sample.alpha) != sample.rho
+                assert ln.level - sample.alpha * ln.coeff != sample.rho
 
     def test_same_face_same_word(self):
         # nudging rho by half the distance to the nearest line stays in
@@ -285,7 +313,7 @@ class TestRotationSweep:
         for sample in rotation_word_samples(SIGMA7, n):
             gaps = []
             for ln in lines:
-                diff = ln.height_at(sample.alpha) - sample.rho
+                diff = ln.level - sample.alpha * ln.coeff - sample.rho
                 gaps.append(-diff if diff.sign() < 0 else diff)
             delta = min(gaps) / 2
             for rho in (sample.rho + delta, sample.rho - delta):
