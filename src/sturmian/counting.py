@@ -265,7 +265,8 @@ def _strips(sigma: ExactReal, length: int, cap: int):
         heights = _sorted_exact(heights, keys, d)
         # The word halfway up to the lowest line, over the denominator 2 den.
         word = _rotation_raw(
-            2 * a0, 2 * a1, heights[0][0], heights[0][1], 2 * s0, 2 * s1, 2 * den, d, length
+            2 * a0, 2 * a1, heights[0][0], heights[0][1], 0,
+            2 * s0, 2 * s1, 0, 2 * den, d, 0, length,
         )
         words = [bytes(word)]
         for _, _, _, coeff, e in heights:

@@ -8,9 +8,12 @@ hashing is consistent.
 
 Sums, differences, products and quotients must stay inside one quadratic
 field Q(sqrt(d)); mixing two radicals raises MixedRadicalError.  Order
-comparisons are exact and *are* allowed across two different fields,
-since a sign can be decided by repeated squaring without ever storing a
-two-radical value.
+comparisons are exact and *are* allowed across two different fields:
+the sign of v + w1*sqrt(d1) + w2*sqrt(d2) for plain integers (_sign2)
+is decided by squaring and never stores a two-radical value, and
+the floor of such a value over c (_floor2) is one integer floor plus
+one such sign.  compare and the mechanical and rotation words of
+`words` all decide their cross-field cases through these two.
 """
 
 from __future__ import annotations
@@ -76,18 +79,42 @@ def _floor_quadratic(a: int, b: int, c: int, d: int) -> int:
     return (a - math.isqrt(b * b * d - 1) - 1) // c
 
 
-def _radical_diff_sign(p: int, d1: int, q: int, d2: int) -> int:
-    """Sign of p*sqrt(d1) - q*sqrt(d2)."""
-    if p == 0:
-        return -_sign(q)
-    if q == 0:
-        return _sign(p)
-    if p > 0 and q < 0:
-        return 1
-    if p < 0 and q > 0:
-        return -1
-    s = _sign(p * p * d1 - q * q * d2)
-    return s if p > 0 else -s
+def _sign2(v: int, w1: int, d1: int, w2: int, d2: int) -> int:
+    """Sign of v + w1*sqrt(d1) + w2*sqrt(d2) for plain integers, with d1
+    and d2 each 0 or squarefree.
+
+    For distinct d1, d2 >= 1 and w1, w2 != 0, the sign t of
+    r = w1 sqrt(d1) + w2 sqrt(d2) is that of r sqrt(d1) = w1 d1 +
+    w2 sqrt(d1 d2).  If v is 0 or of sign t, t is the answer; otherwise
+    the sign of v^2 - r^2 = v^2 - w1^2 d1 - w2^2 d2 - 2 w1 w2 sqrt(d1 d2)
+    decides.  Neither r nor v^2 - r^2 is 0, as d1 d2 is not a square.
+    """
+    if d1 == d2:
+        return _radical_sign(v, w1 + w2, d1)
+    if w2 == 0 or d2 == 0:
+        return _radical_sign(v, w1, d1)
+    if w1 == 0 or d1 == 0:
+        return _radical_sign(v, w2, d2)
+    t = _radical_sign(w1 * d1, w2, d1 * d2)
+    if v * t >= 0:
+        return t
+    if _radical_sign(v * v - w1 * w1 * d1 - w2 * w2 * d2, -2 * w1 * w2, d1 * d2) > 0:
+        return -t
+    return t
+
+
+def _floor2(v: int, w1: int, d1: int, w2: int, d2: int, c: int) -> int:
+    """floor((v + w1*sqrt(d1) + w2*sqrt(d2)) / c) for plain integers,
+    c > 0, d1 and d2 as for _sign2.
+
+    With f = floor(w2 sqrt(d2)) the value lies in [m, m + 1 + 1/c) for
+    m = floor((v + f + w1 sqrt(d1)) / c), so one sign test against
+    m + 1 settles it.
+    """
+    m = _floor_quadratic(v + _floor_quadratic(0, w2, 1, d2), w1, c, d1)
+    if _sign2(v - (m + 1) * c, w1, d1, w2, d2) >= 0:
+        return m + 1
+    return m
 
 
 class ExactReal:
@@ -270,9 +297,6 @@ class ExactReal:
         """
         return _floor_quadratic(self.a, self.b, self.c, self.d)
 
-    def frac(self) -> ExactReal:
-        return self - ExactReal(self.floor())
-
     def __float__(self) -> float:
         scale = 1 << 64
         num = self.a * scale + self.b * math.isqrt(self.d * scale * scale)
@@ -293,24 +317,8 @@ def compare(x, y) -> int:
     """Exact three-way comparison; cross-field pairs are allowed."""
     x = ExactReal(x) if isinstance(x, int) else x
     y = ExactReal(y) if isinstance(y, int) else y
-    if x.d == 0 or y.d == 0 or x.d == y.d:
-        return (x - y).sign()
-    # sign of (a1 + b1*sqrt(d1))/c1 - (a2 + b2*sqrt(d2))/c2 with d1 != d2.
-    u = x.a * y.c - y.a * x.c
-    p = x.b * y.c
-    q = y.b * x.c
-    s_rad = _radical_diff_sign(p, x.d, q, y.d)
-    if u == 0:
-        return s_rad
-    su = _sign(u)
-    if s_rad == 0 or su == s_rad:
-        return su
-    # |u| versus |p*sqrt(d1) - q*sqrt(d2)|: square once more.  d1*d2 is
-    # never a perfect square for distinct squarefree d1, d2, so the sign
-    # below cannot be zero.
-    v = u * u - (p * p * x.d + q * q * y.d)
-    t = _radical_sign(v, 2 * p * q, x.d * y.d)
-    return su if t > 0 else s_rad
+    # the sign of (x - y) * x.c * y.c
+    return _sign2(x.a * y.c - y.a * x.c, x.b * y.c, x.d, -y.b * x.c, y.d)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ from .exactnum import (
     ContinuedFraction,
     ExactReal,
     MixedRadicalError,
-    _floor_quadratic,
+    _floor2,
     _radical_sign,
+    _sign2,
     compare,
 )
 
@@ -324,59 +325,37 @@ class MechanicalParams:
         _require_unit(self.rho, "rho", strict_low=False)
 
 
-def _sum_floor(x: ExactReal, y: ExactReal) -> int:
-    """floor(x + y), allowing x and y to live in different quadratic fields."""
-    try:
-        return (x + y).floor()
-    except MixedRadicalError:
-        pass
-    m = x.floor() + y.floor()
-    # x + y is in [m, m+2); one exact comparison settles which unit interval.
-    if compare(x, ExactReal(m + 1) - y) >= 0:
-        m += 1
-    return m
-
-
-def _cmp_sum3(x: ExactReal, y: ExactReal, z: ExactReal, bound: int) -> int:
-    """Sign of x + y + z - bound; works when the values span two fields."""
-    for u, v, w in ((x, y, z), (x, z, y), (y, z, x)):
-        try:
-            s = u + v
-        except MixedRadicalError:
-            continue
-        return compare(s, ExactReal(bound) - w)
-    raise MixedRadicalError("three distinct radicals in one comparison")
-
-
 def mechanical_word(params: MechanicalParams, n: int) -> BinaryWord:
     """First n symbols of the mechanical word, indexed from 0.
 
     The lower flavor takes differences of floors of k*sigma + rho; the
     upper flavor takes differences of ceilings, ceil(t) = -floor(-t).
-    When sigma and rho share a field, k*sigma + rho is (A_k + B_k
-    sqrt(d)) / C with plain integers, so each floor is one integer
-    square root; otherwise each floor is an exact sum of two fields.
+    Over C = sigma.c * rho.c, k*sigma + rho is (A_k + B_k sqrt(d) +
+    E sqrt(d2)) / C with plain integers: d is the field of sigma (of rho
+    if sigma is rational), and E, constant in k, is nonzero only when
+    rho lies in a second field d2.  Without E each floor is one integer
+    square root, _floor_quadratic's taken inline; with E it is
+    _floor2's, which adds one exact sign test.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     sign = 1 if params.flavor == "lower" else -1
     sigma, rho = params.sigma * sign, params.rho * sign
-    if sigma.d and rho.d and sigma.d != rho.d:
-        floors = [_sum_floor(sigma * k, rho) for k in range(n + 1)]
-        steps = zip(floors, floors[1:])
-        return BinaryWord._from_raw(bytes(sign * (y - x) for x, y in steps))
-    # a and b run through A_k and B_k; each floor is _floor_quadratic's,
-    # taken inline.
     c, d = sigma.c * rho.c, sigma.d or rho.d
     a, da = rho.a * sigma.c, sigma.a * rho.c
     b, db = rho.b * sigma.c, sigma.b * rho.c
-    prev = _floor_quadratic(a, b, c, d)
+    e, d2 = 0, 0
+    if rho.d not in (0, d):
+        b, e, d2 = 0, b, rho.d
+    prev = _floor2(a, b, d, e, d2, c)
     isqrt = math.isqrt
     out = bytearray(n)
     for k in range(n):
         a += da
         b += db
-        if b >= 0:
+        if e:
+            cur = _floor2(a, b, d, e, d2, c)
+        elif b >= 0:
             cur = (a + isqrt(b * b * d)) // c
         else:
             cur = (a - isqrt(b * b * d - 1) - 1) // c
@@ -385,17 +364,32 @@ def mechanical_word(params: MechanicalParams, n: int) -> BinaryWord:
     return BinaryWord._from_raw(bytes(out))
 
 
-def _rotation_raw(a, b, r, s, u, v, c, d, n) -> bytearray:
+def _rotation_raw(a, b, r, s, e, u, v, g, c, d, d2, n) -> bytearray:
     """Symbols 0..n-1 of the rotation word with alpha = (a + b sqrt(d))/c,
-    rho = (r + s sqrt(d))/c and sigma = (u + v sqrt(d))/c, for plain
-    integers and c > 0: one integer floor and one sign test per symbol.
+    rho = (r + s sqrt(d) + e sqrt(d2))/c and sigma = (u + v sqrt(d) +
+    g sqrt(d2))/c, for plain integers, c > 0 and d, d2 each 0 or
+    squarefree: one floor and one sign test per symbol.  In one field
+    (e = g = 0) they are _floor_quadratic's, inline, and _radical_sign;
+    a part in the second field brings in _floor2 and _sign2, chosen by
+    a test on the loop invariants e and e + g.
     """
+    isqrt = math.isqrt
     out = bytearray(n)
+    w = e + g
     for q in range(n):
         x0, x1 = r + q * a, s + q * b
-        m = _floor_quadratic(x0, x1, c, d)
+        if e:
+            m = _floor2(x0, x1, d, e, d2, c)
+        elif x1 >= 0:
+            m = (x0 + isqrt(x1 * x1 * d)) // c
+        else:
+            m = (x0 - isqrt(x1 * x1 * d - 1) - 1) // c
         # {x} <= 1 - sigma  <=>  x + sigma <= m + 1; equality gives 0.
-        if _radical_sign(x0 + u - (m + 1) * c, x1 + v, d) > 0:
+        if w:
+            t = _sign2(x0 + u - (m + 1) * c, x1 + v, d, w, d2)
+        else:
+            t = _radical_sign(x0 + u - (m + 1) * c, x1 + v, d)
+        if t > 0:
             out[q] = 1
     return out
 
@@ -404,32 +398,31 @@ def rotation_word(alpha: ExactReal, rho: ExactReal, sigma: ExactReal, n: int) ->
     """Word r of length n with r[q] = 0 iff {q*alpha + rho} <= 1 - sigma.
 
     The boundary case {q*alpha + rho} = 1 - sigma maps to symbol 0.
-    alpha, rho, sigma may live in up to two distinct quadratic fields.
-    When they share one field (rationals included), the three are put
-    over one denominator and each symbol costs one integer square root;
-    otherwise each symbol is an exact comparison across the two fields.
+    alpha, rho, sigma may live in up to two distinct quadratic fields;
+    three distinct radicals raise MixedRadicalError.  The three are put
+    over one denominator with plain-integer coordinates in 1, sqrt(d)
+    and sqrt(d2), where d is the field of alpha (else of rho, else of
+    sigma) and d2 the other field, if any.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     _require_unit(alpha, "alpha", strict_low=False)
     _require_unit(rho, "rho", strict_low=False)
     _require_unit(sigma, "sigma", strict_low=True)
-    fields = {x.d for x in (alpha, rho, sigma)} - {0}
-    if len(fields) <= 1:
-        c = alpha.c * rho.c * sigma.c
-        ka, kr, ks = c // alpha.c, c // rho.c, c // sigma.c
-        raw = _rotation_raw(
-            alpha.a * ka, alpha.b * ka, rho.a * kr, rho.b * kr,
-            sigma.a * ks, sigma.b * ks, c, max(fields, default=0), n,
-        )
-        return BinaryWord._from_raw(bytes(raw))
-    out = bytearray()
-    for q in range(n):
-        x = alpha * q
-        m = _sum_floor(x, rho)
-        # {x + rho} <= 1 - sigma  <=>  x + rho + sigma <= m + 1
-        out.append(0 if _cmp_sum3(x, rho, sigma, m + 1) <= 0 else 1)
-    return BinaryWord._from_raw(bytes(out))
+    d = alpha.d or rho.d or sigma.d
+    second = {rho.d, sigma.d} - {0, d}
+    if len(second) > 1:
+        raise MixedRadicalError("three distinct radicals in one comparison")
+    c = alpha.c * rho.c * sigma.c
+    ka, kr, ks = c // alpha.c, c // rho.c, c // sigma.c
+    # a radical coefficient goes to d's coordinate or to d2's
+    s, e = (rho.b * kr, 0) if rho.d == d else (0, rho.b * kr)
+    v, g = (sigma.b * ks, 0) if sigma.d == d else (0, sigma.b * ks)
+    raw = _rotation_raw(
+        alpha.a * ka, alpha.b * ka, rho.a * kr, s, e,
+        sigma.a * ks, v, g, c, d, max(second, default=0), n,
+    )
+    return BinaryWord._from_raw(bytes(raw))
 
 
 def standard_words(d: DirectiveSequence, n: int) -> list[BinaryWord]:
@@ -588,16 +581,6 @@ class PalindromicTree:
     def distinct_count(self) -> int:
         """Number of distinct nonempty palindromic factors so far."""
         return len(self._len) - 2
-
-    def suffix_palindrome_lengths(self) -> list[int]:
-        """Lengths of all palindromic suffixes of the current word,
-        longest first."""
-        out = []
-        node = self._last
-        while node > 1:
-            out.append(self._len[node])
-            node = self._link[node]
-        return out
 
 
 def is_balanced(w: BinaryWord) -> bool:

@@ -35,6 +35,11 @@ IRRATIONAL_SIGMAS = [
 RATIONAL_SIGMAS = [ExactReal.rational(1, 3), ExactReal.rational(1, 2), ExactReal.rational(2, 7)]
 
 
+def frac(x):
+    """The fractional part x - floor(x)."""
+    return x - ExactReal(x.floor())
+
+
 def random_sigmas(seed, count):
     """Seeded sigmas in (0, 1): a third rational with denominators 21 to
     60, the rest (a + b sqrt(d)) / c with d up to the prime 1000003."""
@@ -326,8 +331,8 @@ class TestRotationSweep:
         direct = Counter(s.word.raw for s in samples)
         mirrored = Counter(
             rotation_word(
-                (one - s.alpha).frac(),
-                (one - SIGMA7 - s.rho).frac(),
+                frac(one - s.alpha),
+                frac(one - SIGMA7 - s.rho),
                 SIGMA7,
                 n,
             ).raw

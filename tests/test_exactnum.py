@@ -9,7 +9,9 @@ from sturmian.exactnum import (
     ContinuedFraction,
     ExactReal,
     MixedRadicalError,
+    _floor2,
     _floor_quadratic,
+    _sign2,
     cf_expand,
     cf_value,
     compare,
@@ -105,9 +107,39 @@ def test_cross_field_comparison_allowed():
     assert ExactReal.sqrt(2) < ExactReal.sqrt(3)
 
 
-def test_cross_field_comparison_random():
+def exact_order(x, y):
+    """Sign of x - y from floor(2**k x) and floor(2**k y) for growing k:
+    monotone floors that differ order the values, and distinct values
+    differ once 2**k |x - y| > 1.  Equal values have equal normal forms."""
+    if x == y:
+        return 0
+    k = 0
+    while True:
+        fx = _floor_quadratic(x.a << k, x.b << k, x.c, x.d)
+        fy = _floor_quadratic(y.a << k, y.b << k, y.c, y.d)
+        if fx != fy:
+            return -1 if fx < fy else 1
+        k += 1
+
+
+def near_ties(rng, count):
+    """Pairs x in Q(sqrt(d1)), y in Q(sqrt(d2)) with |x - y| < 2 / c2:
+    y = (a2 + b2 sqrt(d2)) / c2 with a2 next to c2 x - b2 sqrt(d2)."""
+    pairs = []
+    for _ in range(count):
+        d1, d2 = rng.sample([2, 3, 5, 6, 7, 10, 9973], 2)
+        x = ExactReal(rng.randint(-50, 50), rng.choice([-1, 1]) * rng.randint(1, 10**3),
+                      rng.randint(1, 50), d1)
+        b2, c2 = rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6)
+        near = _floor_quadratic(c2 * x.a, c2 * x.b, x.c, x.d) - _floor_quadratic(0, b2, 1, d2)
+        pairs.append((x, ExactReal(near + rng.randint(-1, 1), b2, c2, d2)))
+    return pairs
+
+
+def test_cross_field_comparison_exact():
     rng = random.Random(7)
     pool = [2, 3, 5, 6, 7, 10]
+    pairs = []
     for _ in range(400):
         x = ExactReal(
             rng.randint(-20, 20), rng.randint(-6, 6), rng.randint(1, 9),
@@ -117,13 +149,99 @@ def test_cross_field_comparison_random():
             rng.randint(-20, 20), rng.randint(-6, 6), rng.randint(1, 9),
             rng.choice(pool),
         )
-        got = compare(x, y)
-        fx, fy = float(x), float(y)
-        if abs(fx - fy) > 1e-6:
-            assert got == (-1 if fx < fy else 1)
+        pairs.append((x, y))
+    # convergents of sqrt(2), and 1 + sqrt(2) against sqrt(7)
+    root2 = ExactReal.sqrt(2)
+    for p, q in [(3, 2), (7, 5), (17, 12), (41, 29), (99, 70), (577, 408), (665857, 470832)]:
+        pairs.append((root2, ExactReal.rational(p, q)))
+    pairs.append((root2 + 1, ExactReal.sqrt(7)))
+    pairs.append((ExactReal(0, 1, 5, 50), root2))
+    pairs += near_ties(rng, 400)
+    for x, y in pairs:
+        want = exact_order(x, y)
+        assert compare(x, y) == want, (x, y)
+        assert compare(y, x) == -want, (x, y)
+
+
+def bracket_sign(v, w1, d1, w2, d2):
+    """Sign of v + w1 sqrt(d1) + w2 sqrt(d2) from integer floors: 2**k
+    times the value lies in [L, L + 2) with L = 2**k v +
+    floor(2**k w1 sqrt(d1)) + floor(2**k w2 sqrt(d2)).  A nonzero value
+    is an algebraic integer of degree at most 4 whose conjugates are at
+    most M in size, so its norm puts it at least 1/M**3 away from 0;
+    a bracket still holding 0 once 2**k > 2 M**3 means the value is 0."""
+    bound = abs(v) + (abs(w1) + abs(w2)) * (math.isqrt(max(d1, d2)) + 1)
+    k = 0
+    while True:
+        low = (v << k) + _floor_quadratic(0, w1 << k, 1, d1) + _floor_quadratic(0, w2 << k, 1, d2)
+        if low > 0:
+            return 1
+        if low + 2 <= 0:
+            return -1
+        if 1 << k > 2 * bound**3:
+            return 0
+        k += 1
+
+
+def bracket_floor(v, w1, d1, w2, d2, c):
+    """floor((v + w1 sqrt(d1) + w2 sqrt(d2)) / c), the m with the value
+    minus m*c of sign >= 0 and minus (m + 1)*c of sign < 0."""
+    m = _floor_quadratic(v, w1, c, d1) + _floor_quadratic(0, w2, c, d2)
+    while bracket_sign(v - m * c, w1, d1, w2, d2) < 0:
+        m -= 1
+    while bracket_sign(v - (m + 1) * c, w1, d1, w2, d2) >= 0:
+        m += 1
+    return m
+
+
+def sign_cases(rng, count):
+    """(v, w1, d1, w2, d2): random terms of either sign, zeros among
+    v, w1, w2 and d1, equal fields, and v within a few units of
+    -(w1 sqrt(d1) + w2 sqrt(d2)), where the squaring branch decides."""
+    fields = [0, 2, 3, 5, 6, 7, 10, 13, 9973]
+    cases = [(0, 0, 0, 0, 0), (0, 1, 2, -1, 2), (0, 1, 2, -1, 3), (0, 0, 5, 3, 7),
+             (-3, 1, 2, 1, 3), (3, -1, 2, -1, 3), (1, 1, 2, -1, 7)]
+    for i in range(count):
+        d1, d2 = rng.choice(fields), rng.choice(fields[1:])
+        if i % 7 == 0:
+            d1 = d2
+        w1 = rng.choice([0, 1, -1]) * rng.randint(1, 10**6) if i % 5 else 0
+        w2 = rng.choice([1, -1]) * rng.randint(1, 10**6)
+        if i % 3 == 0:
+            v = rng.randint(-10**7, 10**7)
         else:
-            # too close to trust floats; exactness is checked elsewhere
-            assert got in (-1, 0, 1)
+            v = -_floor_quadratic(0, w1, 1, d1) - _floor_quadratic(0, w2, 1, d2) + rng.randint(-2, 1)
+        if i % 11 == 0:
+            v = 0
+        cases.append((v, w1, d1, w2, d2))
+    return cases
+
+
+def test_sign2_matches_brackets():
+    rng = random.Random(20261019)
+    for v, w1, d1, w2, d2 in sign_cases(rng, 3000):
+        want = bracket_sign(v, w1, d1, w2, d2)
+        assert _sign2(v, w1, d1, w2, d2) == want, (v, w1, d1, w2, d2)
+        assert _sign2(v, w2, d2, w1, d1) == want, (v, w1, d1, w2, d2)
+
+
+def test_floor2_matches_brackets():
+    rng = random.Random(1019)
+    for v, w1, d1, w2, d2 in sign_cases(rng, 1500):
+        c = rng.choice([1, 2, 7, rng.randint(1, 10**4)])
+        v = v * rng.choice([1, c]) + rng.randint(0, c)
+        m = _floor2(v, w1, d1, w2, d2, c)
+        assert m == bracket_floor(v, w1, d1, w2, d2, c), (v, w1, d1, w2, d2, c)
+        assert _floor2(v, w2, d2, w1, d1, c) == m
+    # one field whose radicals cancel: the sign test meets an exact 0
+    for w, d, c in [(1, 2, 1), (-7, 3, 3), (10**6, 9973, 7)]:
+        for v in (-2 * c, -1, 0, 5 * c, 5 * c + 1):
+            assert _floor2(v, w, d, -w, d, c) == v // c
+
+
+def frac(x):
+    """The fractional part x - floor(x)."""
+    return x - ExactReal(x.floor())
 
 
 def test_floor_and_frac():
@@ -133,11 +251,10 @@ def test_floor_and_frac():
     assert ExactReal.rational(7, 2).floor() == 3
     assert ExactReal.rational(-7, 2).floor() == -4
     assert ExactReal.rational(5).floor() == 5
-    frac = slope.frac()
-    assert frac == slope
+    assert frac(slope) == slope
     phi = ExactReal(1, 1, 2, 5)
     assert phi.floor() == 1
-    assert phi.frac() == phi - 1
+    assert frac(phi) == phi - 1
 
 
 def test_floor_brackets_value_random():

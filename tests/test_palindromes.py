@@ -55,6 +55,17 @@ def brute_palindromic_factors(raw):
     return {raw[i:j] for i in range(len(raw)) for j in range(i + 1, len(raw) + 1) if raw[i:j] == raw[i:j][::-1]}
 
 
+def suffix_palindrome_lengths(tree):
+    """Lengths of all palindromic suffixes of the tree's word, longest
+    first: the suffix links from its longest palindromic suffix."""
+    out = []
+    node = tree._last
+    while node > 1:
+        out.append(tree._len[node])
+        node = tree._link[node]
+    return out
+
+
 class TestIsPalindrome:
     def test_examples(self):
         assert is_palindrome(bw("01001010010"))
@@ -79,7 +90,7 @@ class TestTree:
                     (len(p) for p in seen if raw[:stop].endswith(p)),
                     reverse=True,
                 )
-                assert tree.suffix_palindrome_lengths() == suffixes
+                assert suffix_palindrome_lengths(tree) == suffixes
             assert PalindromicTree(word).distinct_count == tree.distinct_count
 
     def test_matches_naive_enumeration_longer_words(self):
@@ -101,7 +112,7 @@ class TestTree:
                 seen.update(prefix[stop - ell :] for ell in suffixes)
                 assert tree.add(raw[stop - 1]) == grew
                 assert tree.distinct_count == len(seen)
-                assert tree.suffix_palindrome_lengths() == suffixes
+                assert suffix_palindrome_lengths(tree) == suffixes
             assert PalindromicTree(BinaryWord(raw)).distinct_count == len(seen)
 
     def test_reexported_names(self):
@@ -114,7 +125,7 @@ class TestTree:
         for cls in (sturmian.PalindromicTree, sturmian.palindromes.PalindromicTree):
             tree = cls(bw("abaabb"))
             assert tree.distinct_count == 6
-            assert tree.suffix_palindrome_lengths() == [2, 1]
+            assert suffix_palindrome_lengths(tree) == [2, 1]
             assert tree.add(0) is True
             with pytest.raises(ValueError):
                 tree.add(2)
@@ -656,7 +667,7 @@ def suffix_link_pal_lengths(raw):
     dp = [0]
     for i, symbol in enumerate(raw, 1):
         tree.add(symbol)
-        dp.append(1 + min(dp[i - ell] for ell in tree.suffix_palindrome_lengths()))
+        dp.append(1 + min(dp[i - ell] for ell in suffix_palindrome_lengths(tree)))
     return dp
 
 

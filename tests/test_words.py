@@ -5,12 +5,10 @@ import random
 import pytest
 
 from sturmian.errors import CapExceededError
-from sturmian.exactnum import ExactReal, MixedRadicalError, parse_real
+from sturmian.exactnum import ExactReal, MixedRadicalError, compare, parse_real
 import sturmian.words as words_mod
 from sturmian.ostrowski import standard_lengths
 from sturmian.words import (
-    _cmp_sum3,
-    _sum_floor,
     BinaryWord,
     DirectiveSequence,
     MechanicalParams,
@@ -119,6 +117,31 @@ class TestDirectiveSequence:
         assert DirectiveSequence.parse("2").slope() == ExactReal.rational(1, 3)
         # [0;2,1] must canonicalize to [0;3]
         assert DirectiveSequence.parse("1,1").slope() == ExactReal.rational(1, 3)
+
+
+def _sum_floor(x, y):
+    """floor(x + y) by ExactReal arithmetic, x and y in one quadratic
+    field or in two."""
+    try:
+        return (x + y).floor()
+    except MixedRadicalError:
+        pass
+    m = x.floor() + y.floor()
+    # x + y is in [m, m+2); one exact comparison settles which unit interval.
+    if compare(x, ExactReal(m + 1) - y) >= 0:
+        m += 1
+    return m
+
+
+def _cmp_sum3(x, y, z, bound):
+    """Sign of x + y + z - bound, the values spanning up to two fields."""
+    for u, v, w in ((x, y, z), (x, z, y), (y, z, x)):
+        try:
+            s = u + v
+        except MixedRadicalError:
+            continue
+        return compare(s, ExactReal(bound) - w)
+    raise MixedRadicalError("three distinct radicals in one comparison")
 
 
 def oracle_mechanical_word(params, n):
@@ -311,10 +334,32 @@ class TestRotation:
         assert w[4] == 0
         assert w.to_string("01") == "00000110"
 
+    def test_two_fields_long(self):
+        # the value in the second field as alpha, then rho, then sigma,
+        # and a rational alpha with rho and sigma in two fields
+        root2, root7 = parse_real("(-1+sqrt(2))"), parse_real("sqrt(7)/7")
+        one = ExactReal.rational(1)
+        cases = [
+            (root2, one - root7, root7),  # starts on the 1 - sigma boundary
+            (parse_real("(2-sqrt(2))"), parse_real("sqrt(3)/2"), parse_real("(3-sqrt(3))/2")),
+            (root2, root7, root2),
+            (root7, parse_real("(5-sqrt(5))/4"), root7),
+            (root2, ExactReal.rational(1, 7), root7),
+            (parse_real("(3-sqrt(5))/2"), parse_real("(3-sqrt(5))/2"), parse_real("sqrt(3)/2")),
+            (ExactReal.rational(2, 7), root2, root7),
+        ]
+        for alpha, rho, sigma in cases:
+            want = brute_rotation_word(alpha, rho, sigma, 600)
+            assert rotation_word(alpha, rho, sigma, 600).raw == want, (
+                str(alpha), str(rho), str(sigma)
+            )
+
     def test_three_radicals_refused(self):
-        with pytest.raises(MixedRadicalError):
-            rotation_word(parse_real("sqrt(2)/3"), parse_real("sqrt(3)/2"),
-                          parse_real("sqrt(7)/7"), 3)
+        # at every length, the empty word included
+        for n in (0, 1, 3):
+            with pytest.raises(MixedRadicalError):
+                rotation_word(parse_real("sqrt(2)/3"), parse_real("sqrt(3)/2"),
+                              parse_real("sqrt(7)/7"), n)
 
     def test_zero_start(self):
         zero = ExactReal.rational(0)
