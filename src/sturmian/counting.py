@@ -3,8 +3,8 @@
 The closed forms (total count of balanced factors, face count of the
 rotation-word line arrangement) are evaluated exactly with big integers.
 Each one has an independent oracle: an enumeration of balanced words,
-and an exact sweep / face enumeration of the dual line arrangement in
-the unit parameter square.
+and an exact sweep / vertex count of the dual line arrangement in the
+unit parameter square.
 
 The enumeration is one depth-first walk over the tree of balanced
 words, counting every length up to n in one pass; words._balanced_counts
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import CapExceededError
@@ -135,11 +136,6 @@ def _families(order: int) -> dict[tuple[int, int], tuple[int, int]]:
     return spans
 
 
-def _line_triples(spans) -> list[tuple[int, int, int]]:
-    """(coeff, n, e) for each line of the families, family by family."""
-    return [(c, n, e) for (c, e), (lo, hi) in spans.items() for n in range(lo, hi + 1)]
-
-
 def _meetings(spans):
     """Yield (c1, e1, c2, e2, dns) for each two families with c1 > c2.
 
@@ -161,12 +157,12 @@ def _meetings(spans):
 def arrangement_lines(order: int, sigma: ExactReal) -> list[ArrangementLine]:
     """All lines of the order-n arrangement that meet the open unit
     square, plus the two horizontal boundaries."""
-    triples = _line_triples(_families(order))
+    spans = _families(order)
     _require_unit(sigma, "sigma", strict_low=True)
     return [
         ArrangementLine(coeff, ExactReal(n) - sigma, "shifted") if e
         else ArrangementLine(coeff, ExactReal(n), "integer" if coeff else "boundary")
-        for coeff, n, e in triples
+        for (coeff, e), (lo, hi) in spans.items() for n in range(lo, hi + 1)
     ]
 
 
@@ -183,11 +179,6 @@ def arrangement_lines(order: int, sigma: ExactReal) -> list[ArrangementLine]:
 def _reduced(*entries: int) -> tuple[int, ...]:
     g = math.gcd(*entries)
     return tuple(x // g for x in entries) if g > 1 else entries
-
-
-def _in_unit(v: int, w: int, den: int, d: int) -> bool:
-    """0 <= (v + w sqrt(d)) / den <= 1, for den > 0."""
-    return _radical_sign(v, w, d) >= 0 and _radical_sign(den - v, -w, d) >= 0
 
 
 def _sorted_exact(items: list, keys: list[int], d: int) -> list:
@@ -305,24 +296,30 @@ def rotation_word_count(sigma: ExactReal, length: int, cap: int = DEFAULT_SWEEP_
 
 
 def arrangement_face_count(sigma: ExactReal, order: int) -> int:
-    """Faces of the order-n arrangement inside the unit square, counted
-    through the Euler relation on the exact intersection graph.
+    """Faces of the order-n arrangement inside the unit square:
+    1 + L + the sum over interior vertices of (lines through it - 1),
+    with L the number of lines other than rho = 0 and rho = 1.
 
-    Independent of rotation_face_count: this builds every vertex and
-    edge of the subdivision (square edges included) and returns
-    edges - vertices + 1.  Vertices inside the square are found per
-    pair of parallel families, not per pair of lines: at each alpha
-    where two families meet, at most two lines of one family pass
-    through rho in [0, 1], so the work is O(order^3), not O(order^4).
+    Each of those L lines crosses the open square from side to side.
+    Drawn one after another, a line with k distinct interior points on
+    earlier lines is cut into k + 1 segments, each splitting one face
+    in two; a vertex on m lines is such a point for all but the first
+    of them, so it adds m - 1.  Points on the square's sides split no
+    face.  Independent of rotation_face_count.
+
+    Vertices are found per pair of parallel families, not per pair of
+    lines: at each alpha in (0, 1) where two families meet, one line of
+    a family at most lies strictly inside the square, so the work is
+    O(order^3), not O(order^4).  Each two lines that meet inside are
+    found once, so a vertex on m lines is found p = m(m - 1)/2 times
+    and m - 1 = (sqrt(8p + 1) - 1) / 2.
     """
     spans = _families(order)
+    del spans[0, 0]  # rho = 0 and rho = 1 cut no face
     _require_unit(sigma, "sigma", strict_low=True)
     sa, sb, sc, d = sigma.a, sigma.b, sigma.c, sigma.d
-    curves = {line: set() for line in _line_triples(spans)}
-    walls = (set(), set())  # alpha = 0 and alpha = 1
-
+    found = defaultdict(int)  # interior vertex -> times found
     for c1, e1, c2, e2, dns in _meetings(spans):
-        (lo1, hi1), (lo2, hi2) = spans[c1, e1], spans[c2, e2]
         dc, de = c1 - c2, e1 - e2
         den = sc * dc
         a1 = de * sb
@@ -330,33 +327,13 @@ def arrangement_face_count(sigma: ExactReal, order: int) -> int:
         for dn in dns:
             # alpha = (a0 + a1 sqrt(d)) / den.  Line n1 of the first
             # family is at height n1 - t there, with t = c1 alpha - e1
-            # sigma = (t0 + t1 sqrt(d)) / den, which lies in [0, 1] iff
-            # ceil(t) <= n1 <= floor(t) + 1.
+            # sigma = (t0 + t1 sqrt(d)) / den, which lies in (0, 1) iff
+            # t is not whole (t1 sqrt(d) = 0 if it is) and n1 =
+            # floor(t) + 1.  A line at such a height is in its span.
             a0 = dn * sc + de * sa
             t0 = c1 * a0 - e1 * sa * dc
             f = _floor_quadratic(t0, t1, den, d)
-            # ceil(t) = f only for a whole t, which needs a rational t
-            low = f if t0 == f * den and not (t1 and d) else f + 1
-            for n1 in range(max(low, lo1, lo2 + dn), min(f + 1, hi1, hi2 + dn) + 1):
-                pt = _reduced(a0, a1, n1 * den - t0, -t1, den)
-                curves[c1, n1, e1].add(pt)
-                curves[c2, n1 - dn, e2].add(pt)
-    # The walls: each line through them gets its point there, so vertices
-    # at alpha = 0 or 1 need no pair of families.
-    for v, wall in enumerate(walls):
-        for (coeff, n, e), on_line in curves.items():
-            p, r = (n - coeff * v) * sc + e * sa, e * sb
-            if _in_unit(p, r, sc, d):
-                pt = _reduced(v * sc, 0, p, r, sc)
-                wall.add(pt)
-                on_line.add(pt)
-
-    vertices = set()
-    edges = 0
-    for pts in (*curves.values(), *walls):
-        if not pts:
-            continue
-        vertices |= pts
-        # A curve through k distinct points splits into k - 1 segments.
-        edges += len(pts) - 1
-    return edges - len(vertices) + 1
+            if t0 != f * den or (t1 and d):
+                found[_reduced(a0, a1, (f + 1) * den - t0, -t1, den)] += 1
+    lines = sum(hi - lo + 1 for lo, hi in spans.values())
+    return 1 + lines + sum((math.isqrt(8 * p + 1) - 1) // 2 for p in found.values())

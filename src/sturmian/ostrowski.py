@@ -132,8 +132,6 @@ def encode(N: int, d: DirectiveSequence) -> OstrowskiRep:
     """
     if N < 0:
         raise ValueError("only nonnegative integers are representable")
-    if N == 0:
-        return OstrowskiRep(d, ())
     top = _top_level(d, N)
     try:
         d.q(top + 1)

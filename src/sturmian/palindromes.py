@@ -182,8 +182,6 @@ def _central_reference(d: DirectiveSequence, length: int):
     fill an arithmetic progression; successive levels are disjoint, so
     at most one (m, j) exists.
     """
-    if length < 1:
-        return None
     m = 0
     while True:
         try:

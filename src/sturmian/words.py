@@ -529,7 +529,7 @@ class PalindromicTree:
         self._child = ([0, 0], [0, 0])
         self._last = 1
         if word is not None:
-            self.extend(word)
+            self._feed(word.raw)
 
     def _feed(self, symbols) -> None:
         """Append each symbol, keeping the node of the longest
@@ -573,9 +573,6 @@ class PalindromicTree:
         size = len(self._len)
         self._feed((symbol,))
         return len(self._len) > size
-
-    def extend(self, word: BinaryWord) -> None:
-        self._feed(word.raw)
 
     @property
     def distinct_count(self) -> int:

@@ -444,12 +444,20 @@ class TestWitness:
 
 def check_batch(d, pmax):
     """The batch lists the brute occurrences in (p2, p1) order, each
-    with occurrence_witness's record; returns the records."""
+    with occurrence_witness's record; returns the records.  Its pairs
+    are also the palindromic suffixes of every prefix, longest first,
+    read off PalindromicTree."""
     records = list(occurrence_witnesses(d, pmax))
     occs = list(palindromic_occurrences(d, pmax))
     got = [(r["p1"], r["p2"]) for r in records]
     assert set(got) == {(o.p1, o.p2) for o in occs}
     assert got == [(o.p1, o.p2) for o in occs]
+    tree = PalindromicTree()
+    suffixes = []
+    for p2, symbol in enumerate(characteristic_prefix(d, pmax).raw, 1):
+        tree.add(symbol)
+        suffixes += [(p2 - ell, p2) for ell in suffix_palindrome_lengths(tree)]
+    assert got == suffixes
     for rec, occ in zip(records, occs):
         assert rec == occurrence_witness(occ).to_record()
     return records
