@@ -26,6 +26,7 @@ from .exactnum import (
     ExactReal,
     MixedRadicalError,
     _floor2,
+    _floor_quadratic,
     _radical_sign,
     _sign2,
     compare,
@@ -325,43 +326,136 @@ class MechanicalParams:
         _require_unit(self.rho, "rho", strict_low=False)
 
 
+def _ratio_floor(u0: int, v0: int, u1: int, v1: int, d: int) -> int:
+    """floor((u0 + v0 sqrt(d)) / (u1 + v1 sqrt(d))) for plain integers
+    and a positive divisor: the quotient times the divisor's conjugate
+    over its norm, nonzero as d is 0 or squarefree."""
+    norm = u1 * u1 - v1 * v1 * d
+    if norm < 0:
+        norm, u1, v1 = -norm, -u1, -v1
+    return _floor_quadratic(u0 * u1 - v0 * v1 * d, v0 * u1 - u0 * v1, norm, d)
+
+
 def mechanical_word(params: MechanicalParams, n: int) -> BinaryWord:
     """First n symbols of the mechanical word, indexed from 0.
 
-    The lower flavor takes differences of floors of k*sigma + rho; the
-    upper flavor takes differences of ceilings, ceil(t) = -floor(-t).
-    Over C = sigma.c * rho.c, k*sigma + rho is (A_k + B_k sqrt(d) +
-    E sqrt(d2)) / C with plain integers: d is the field of sigma (of rho
-    if sigma is rational), and E, constant in k, is nonzero only when
-    rho lies in a second field d2.  Without E each floor is one integer
-    square root, _floor_quadratic's taken inline; with E it is
-    _floor2's, which adds one exact sign test.
+    The lower flavor takes differences of floors of k*sigma + rho, so
+    its symbol k is 1 iff {k*sigma + rho} >= 1 - sigma: it codes the
+    orbit of x = {rho} under the rotation x -> x + lam1 of [0, lam0 +
+    lam1), lam0 = 1 - sigma and lam1 = sigma, by the interval I0 =
+    [0, lam0) or I1 = [lam0, lam0 + lam1) that holds each point.  The
+    upper flavor takes differences of ceilings, ceil(t) = -floor(-t),
+    which makes it the complement of the lower word of slope 1 - sigma
+    and intercept -rho; it is built as that word with 0 and 1 swapped.
+
+    The word comes from Rauzy induction on that rotation (Rauzy,
+    "Echanges d'intervalles et transformations induites", Acta Arith.
+    1979; Lothaire, "Algebraic Combinatorics on Words", 2002, ch. 2).
+    One level takes the first return to a subinterval, which is again
+    a rotation of two intervals, coded by a word w':
+
+    - lam0 >= lam1, a = floor(lam0 / lam1): the return to [a*lam1,
+      lam0 + lam1), moved to 0, is the rotation of (lam0 - a*lam1,
+      lam1) from x - j*lam1, j = min(a, floor(x / lam1)), and
+      w = 0^(a-j) tau(w') with tau: 0 -> 0, 1 -> 1 0^a;
+    - lam0 < lam1, b = floor(lam1 / lam0): the return to [0, lam0 +
+      lam1 - b*lam0) is the rotation of (lam0, lam1 - b*lam0) from
+      x - f*lam0, f = floor((x - lam1 + b*lam0) / lam0) clamped to
+      [0, b], and w = 1^f tau(w') with tau: 0 -> 0 1^b, 1 -> 1.
+
+    Each level leaves the smaller length on top, so the two kinds
+    alternate, and a, b are the partial quotients of the slope, as
+    Euclid's algorithm on (lam0, lam1) finds them: for the lower flavor
+    and sigma = [0; a1, a2, ...] they are a1 - 1 (skipped if 0), a2,
+    a3, ...  So the levels are as many as the partial quotients used.
+    Below a level of the first kind w' has no 00, and below one of the
+    second kind no 11, so m symbols of w' give at least m +
+    a*floor(m/2) symbols of w, and w' needs 2*ceil((N - p) / (a + 2))
+    symbols when w needs N and its prefix gives p.  That integer bound
+    is at most 2*ceil(N/3), below N while N > 4 (at N = 4 and a = 1 it
+    is 4 again).  The levels stop there, where the rotation runs symbol
+    by symbol, or when a length reaches 0 (a rational slope), where the
+    word below is constant.  Going up, each level is one bytes.replace
+    of tau on w', with the prefix joined in front and the whole cut to
+    N symbols.  An image longer than the word is cut to N + 1 symbols,
+    which changes nothing in the first N.
+
+    Every decision is exact.  With sigma = (A + B sqrt(d)) / C, lam0
+    and lam1 are (u + v sqrt(d)) / C and x is +-rho plus such a value,
+    for plain integers u, v.  Each quotient a, b is one
+    _floor_quadratic of a ratio in Q(sqrt(d)).  Each count j, f is a
+    bisection over [0, a] or [0, b]; each of its steps is the sign of x
+    minus a multiple of a length, by _sign2, which is _radical_sign in
+    one field and handles rho in a second field d2.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    sign = 1 if params.flavor == "lower" else -1
-    sigma, rho = params.sigma * sign, params.rho * sign
-    c, d = sigma.c * rho.c, sigma.d or rho.d
-    a, da = rho.a * sigma.c, sigma.a * rho.c
-    b, db = rho.b * sigma.c, sigma.b * rho.c
-    e, d2 = 0, 0
-    if rho.d not in (0, d):
-        b, e, d2 = 0, b, rho.d
-    prev = _floor2(a, b, d, e, d2, c)
-    isqrt = math.isqrt
-    out = bytearray(n)
-    for k in range(n):
-        a += da
-        b += db
-        if e:
-            cur = _floor2(a, b, d, e, d2, c)
-        elif b >= 0:
-            cur = (a + isqrt(b * b * d)) // c
+    sigma, rho = params.sigma, params.rho
+    c, d, d2 = sigma.c, sigma.d, rho.d
+    lam0, lam1 = (c - sigma.a, -sigma.b), (sigma.a, sigma.b)
+    zero, one = b"\x00", b"\x01"
+    r, s, x = rho.a, rho.b, (0, 0)
+    if params.flavor == "upper":
+        zero, one, lam0, lam1, r, s = one, zero, lam1, lam0, -r, -s
+        if r or s:  # x = {-rho} = -rho + 1
+            x = (c, 0)
+    # x = (r + s sqrt(d2)) / e + (u + v sqrt(d)) / c is kept as (u, v);
+    # its sign is that of c*e*x.
+    cr, cs, e = c * r, c * s, rho.c
+
+    def count(u: int, v: int, du: int, dv: int, hi: int) -> int:
+        """The largest k in [0, hi] with x - k*lam >= 0, or 0 if there
+        is none, for x kept as (u, v) and lam = (du + dv sqrt(d)) / c."""
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            if _sign2(cr + e * (u - mid * du), e * (v - mid * dv), d, cs, d2) >= 0:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    levels = []
+    size = n
+    while size > 4 and any(lam0) and any(lam1):
+        (u0, v0), (u1, v1), (u, v) = lam0, lam1, x
+        a = _ratio_floor(u0, v0, u1, v1, d)
+        if a:
+            j = count(u, v, u1, v1, a)
+            lam0 = (u0 - a * u1, v0 - a * v1)
+            x = (u - j * u1, v - j * v1)
+            sym, other, lead = one, zero, a - j
         else:
-            cur = (a - isqrt(b * b * d - 1) - 1) // c
-        out[k] = sign * (cur - prev)
-        prev = cur
-    return BinaryWord._from_raw(bytes(out))
+            a = _ratio_floor(u1, v1, u0, v0, d)
+            lam1 = (u1 - a * u0, v1 - a * v0)
+            f = count(u - lam1[0], v - lam1[1], u0, v0, a)
+            x = (u - f * u0, v - f * v0)
+            sym, other, lead = zero, one, f
+        lead = min(lead, size)
+        levels.append((sym, sym + other * min(a, size), other * lead, size))
+        size = 2 * -((lead - size) // (a + 2))
+    (u0, v0), (u1, v1) = lam0, lam1
+    if not any(lam1):
+        word = zero * size
+    elif not any(lam0):
+        word = one * size
+    else:
+        out = []
+        for _ in range(size):
+            u, v = x
+            if count(u, v, u0, v0, 1):  # x >= lam0
+                out.append(one)
+                x = (u - u0, v - v0)
+            else:
+                out.append(zero)
+                x = (u + u1, v + v1)
+        word = b"".join(out)
+    for sym, image, prefix, size in reversed(levels):
+        word = word.replace(sym, image)
+        # the inner word is freed first, and the join is the only copy
+        word = b"".join((prefix, memoryview(word)[: size - len(prefix)]))
+    assert len(word) == n
+    return BinaryWord._from_raw(word)
 
 
 def _rotation_raw(a, b, r, s, e, u, v, g, c, d, d2, n) -> bytearray:
@@ -370,16 +464,18 @@ def _rotation_raw(a, b, r, s, e, u, v, g, c, d, d2, n) -> bytearray:
     g sqrt(d2))/c, for plain integers, c > 0 and d, d2 each 0 or
     squarefree: one floor and one sign test per symbol.  In one field
     (e = g = 0) they are _floor_quadratic's, inline, and _radical_sign;
-    a part in the second field brings in _floor2 and _sign2, chosen by
-    a test on the loop invariants e and e + g.
+    a part in the second field brings in _floor2, given the loop
+    invariant floor(e sqrt(d2)), and _sign2, chosen by a test on the
+    loop invariants e and e + g.
     """
     isqrt = math.isqrt
     out = bytearray(n)
     w = e + g
+    f2 = _floor_quadratic(0, e, 1, d2)
     for q in range(n):
         x0, x1 = r + q * a, s + q * b
         if e:
-            m = _floor2(x0, x1, d, e, d2, c)
+            m = _floor2(x0, x1, d, e, d2, c, f2)
         elif x1 >= 0:
             m = (x0 + isqrt(x1 * x1 * d)) // c
         else:

@@ -107,9 +107,9 @@ def test_criterion_04_fibonacci_golden_values():
 def test_criterion_05_coding_identity():
     for d in (FIB, D2):
         sigma = d.slope()
-        coded = mechanical_word(MechanicalParams(sigma=sigma, rho=sigma), 1000)
-        assert coded == characteristic_prefix(d, 1000)
-    report(5, "mechanical words at rho = sigma equal 1000-symbol characteristic prefixes")
+        coded = mechanical_word(MechanicalParams(sigma=sigma, rho=sigma), 10**5)
+        assert coded == characteristic_prefix(d, 10**5)
+    report(5, "mechanical words at rho = sigma equal 100000-symbol characteristic prefixes")
 
 
 def test_criterion_06_palindrome_pattern_and_richness():

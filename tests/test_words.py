@@ -5,7 +5,14 @@ import random
 import pytest
 
 from sturmian.errors import CapExceededError
-from sturmian.exactnum import ExactReal, MixedRadicalError, compare, parse_real
+from sturmian.exactnum import (
+    ExactReal,
+    MixedRadicalError,
+    _floor2,
+    _floor_quadratic,
+    compare,
+    parse_real,
+)
 import sturmian.words as words_mod
 from sturmian.ostrowski import standard_lengths
 from sturmian.words import (
@@ -145,8 +152,26 @@ def _cmp_sum3(x, y, z, bound):
 
 
 def oracle_mechanical_word(params, n):
-    """One exact floor (or ceiling) of k*sigma + rho per symbol, by
-    _sum_floor, which works in one field or across two."""
+    """One exact floor (or ceiling) of k*sigma + rho per symbol.  Over
+    C = sigma.c * rho.c, k*sigma + rho is (A_k + B_k sqrt(d) +
+    E sqrt(d2)) / C with plain integers: d is the field of sigma (of rho
+    if sigma is rational), and E, constant in k, is nonzero only when
+    rho lies in a second field d2; _floor2 floors it."""
+    sign = 1 if params.flavor == "lower" else -1
+    sigma, rho = params.sigma * sign, params.rho * sign
+    c, d = sigma.c * rho.c, sigma.d or rho.d
+    a, da = rho.a * sigma.c, sigma.a * rho.c
+    b, db = rho.b * sigma.c, sigma.b * rho.c
+    e, d2 = 0, 0
+    if rho.d not in (0, d):
+        b, e, d2 = 0, b, rho.d
+    f2 = _floor_quadratic(0, e, 1, d2)
+    values = [_floor2(a + k * da, b + k * db, d, e, d2, c, f2) for k in range(n + 1)]
+    return BinaryWord([sign * (values[k + 1] - values[k]) for k in range(n)])
+
+
+def exact_real_mechanical_word(params, n):
+    """The same floors by ExactReal arithmetic, through _sum_floor."""
     sigma, rho = params.sigma, params.rho
     if params.flavor == "lower":
         values = [_sum_floor(sigma * k, rho) for k in range(n + 1)]
@@ -162,6 +187,11 @@ def random_unit(rng, d):
         x = ExactReal(rng.randint(-60, 60), rng.randint(-9, 9) if d else 0, c, d)
         if ExactReal(0) < x < ExactReal(1):
             return x
+
+
+def frac(x):
+    """The fractional part x - floor(x)."""
+    return x - ExactReal(x.floor())
 
 
 class TestMechanical:
@@ -248,36 +278,102 @@ class TestMechanical:
         for n in range(1, 16):
             assert factor_set(w1, n) == factor_set(w2, n)
 
-    def test_matches_per_symbol_floors(self):
-        rng = random.Random(4242)
+    @staticmethod
+    def random_params(rng, case):
         zero = ExactReal.rational(0)
         fields = [2, 3, 5, 7, 13]
+        d = rng.choice(fields)
+        sigma = random_unit(rng, d)
+        kind = case % 4
+        if kind == 0:  # rho in sigma's field
+            rho = random_unit(rng, d)
+        elif kind == 1:  # rational rho
+            rho = random_unit(rng, 0)
+        elif kind == 2:
+            rho = zero
+        else:  # rho in another field
+            rho = random_unit(rng, rng.choice([f for f in fields if f != d]))
+        if rng.randrange(8) == 0:  # rational slope
+            sigma = random_unit(rng, 0)
+        return sigma, rho
+
+    def test_oracle_matches_exact_real_floors(self):
+        rng = random.Random(4242)
         for case in range(240):
-            d = rng.choice(fields)
-            sigma = random_unit(rng, d)
-            kind = case % 4
-            if kind == 0:  # rho in sigma's field
-                rho = random_unit(rng, d)
-            elif kind == 1:  # rational rho
-                rho = random_unit(rng, 0)
-            elif kind == 2:
-                rho = zero
-            else:  # rho in another field
-                rho = random_unit(rng, rng.choice([f for f in fields if f != d]))
-            if rng.randrange(8) == 0:  # rational slope
-                sigma = random_unit(rng, 0)
+            sigma, rho = self.random_params(rng, case)
             for flavor in ("lower", "upper"):
                 params = MechanicalParams(sigma=sigma, rho=rho, flavor=flavor)
                 n = rng.randrange(120)
+                want = exact_real_mechanical_word(params, n)
+                assert oracle_mechanical_word(params, n) == want
+
+    def test_matches_per_symbol_floors(self):
+        rng = random.Random(4242)
+        for case in range(240):
+            sigma, rho = self.random_params(rng, case)
+            for flavor in ("lower", "upper"):
+                params = MechanicalParams(sigma=sigma, rho=rho, flavor=flavor)
+                n = rng.randrange(2500, 3500)
                 assert mechanical_word(params, n) == oracle_mechanical_word(params, n)
+
+    # partial quotients of every size, and rational slopes whose
+    # expansion ends: 1/1000 = [0; 1000], 999/1000 = [0; 1, 999],
+    # sqrt(2)/100 = [0; 70, 1, 2, 2, 5, ...], 355/1130 = [0; 3, 5, 2, 6]
+    SLOPES = [
+        "(-1+sqrt(2))", "(3-sqrt(5))/2", "sqrt(7)/7", "1/1000", "999/1000",
+        "sqrt(2)/100", "355/1130", "1/2", "2/5", "13/21", "(9-sqrt(3))/10",
+    ]
+
+    def test_lattice_intercepts(self):
+        # rho = {j sigma}: for irrational sigma, k sigma + rho is whole
+        # only at k = -j when j <= 0, and never when j > 0; floors and
+        # ceilings part only there
+        n = 3000
+        for spelled in self.SLOPES:
+            sigma = parse_real(spelled)
+            for j in range(-3, 4):
+                rho = frac(sigma * j)
+                low, up = (
+                    mechanical_word(MechanicalParams(sigma, rho, flavor), n)
+                    for flavor in ("lower", "upper")
+                )
+                assert low == oracle_mechanical_word(MechanicalParams(sigma, rho), n)
+                assert up == oracle_mechanical_word(
+                    MechanicalParams(sigma, rho, "upper"), n
+                )
+                if not sigma.is_rational:
+                    apart = [i for i in range(n) if low[i] != up[i]]
+                    assert apart == [i for i in (-j - 1, -j) if 0 <= i]
+
+    def test_large_and_ending_partial_quotients(self):
+        n = 3000
+        intercepts = ["0", "3/7", "999/1000", "sqrt(3)/3", "(-1+sqrt(5))/2"]
+        for spelled in self.SLOPES:
+            sigma = parse_real(spelled)
+            for text in intercepts:
+                rho = parse_real(text)
+                for flavor in ("lower", "upper"):
+                    params = MechanicalParams(sigma, rho, flavor)
+                    want = oracle_mechanical_word(params, n)
+                    assert mechanical_word(params, n) == want, (spelled, text, flavor)
+
+    def test_shortest_lengths(self):
+        for spelled in self.SLOPES:
+            sigma = parse_real(spelled)
+            for rho in (ExactReal(0), frac(-sigma), parse_real("sqrt(3)/3")):
+                for flavor in ("lower", "upper"):
+                    params = MechanicalParams(sigma, rho, flavor)
+                    for n in (0, 1, 2):
+                        got = mechanical_word(params, n)
+                        assert got == oracle_mechanical_word(params, n)
 
     def test_mixed_fields_long(self):
         sigma = parse_real("sqrt(7)/7")
         rho = parse_real("(-1+sqrt(2))")
         for flavor in ("lower", "upper"):
             params = MechanicalParams(sigma=sigma, rho=rho, flavor=flavor)
-            w = mechanical_word(params, 500)
-            assert w == oracle_mechanical_word(params, 500)
+            w = mechanical_word(params, 100_000)
+            assert w == oracle_mechanical_word(params, 100_000)
             assert is_balanced(w)
 
     def test_length_validation(self):
