@@ -29,6 +29,7 @@ from .counting import (
     rotation_face_count,
     rotation_word_count,
     sturmian_total,
+    sturmian_totals,
 )
 from .errors import CapExceededError, TheoremViolationError
 from .exactnum import ExactReal, parse_real
@@ -53,6 +54,7 @@ from .palindromes import (
     pal_length,
     pal_length_profile,
     palindrome_factor_count,
+    palindrome_factor_counts,
     palindromes_starting_at,
     zd_max_gap,
 )
@@ -254,7 +256,7 @@ def _cmd_count_sturmian(args) -> int:
         _emit_scalar(args.format, sturmian_total(_nonnegative(args.n, "--n")))
     else:
         upto = _nonnegative(args.upto, "--upto")
-        rows = [(n, sturmian_total(n)) for n in range(upto + 1)]
+        rows = list(enumerate(sturmian_totals(upto)))
         _emit_table(args.format, ["n", "total"], rows)
     return 0
 
@@ -424,10 +426,11 @@ def _cmd_verify_zd(args) -> int:
 def _cmd_verify_h_pattern(args) -> int:
     d = _directive(args.d)
     nmax = _positive(args.nmax, "--nmax")
+    counts = palindrome_factor_counts(d, nmax)
     rows = []
     for n in range(1, nmax + 1):
         expected = 2 if n % 2 == 1 else 1
-        got = palindrome_factor_count(d, n)
+        got = counts[n]
         rows.append((n, got, expected, "ok" if got == expected else "FAIL"))
     headers = ["n", "count", "expected", "status"]
     return _emit_verify(args.format, "h-pattern", headers, rows)
@@ -436,9 +439,9 @@ def _cmd_verify_h_pattern(args) -> int:
 def _cmd_verify_balanced_vs_formula(args) -> int:
     nmax = _nonnegative(args.nmax, "--nmax")
     cap = _resolve_cap(args.cap, DEFAULT_BALANCED_CAP)
+    oracles = balanced_counts(nmax, cap=cap)
     rows = []
-    for n, oracle in enumerate(balanced_counts(nmax, cap=cap)):
-        formula = sturmian_total(n)
+    for n, (formula, oracle) in enumerate(zip(sturmian_totals(nmax), oracles)):
         status = "ok" if formula == oracle else "FAIL"
         rows.append((n, formula, oracle, status))
     headers = ["n", "formula", "oracle", "status"]

@@ -6,9 +6,13 @@ Each one has an independent oracle: an enumeration of balanced words,
 and an exact sweep / vertex count of the dual line arrangement in the
 unit parameter square.
 
-The enumeration is one depth-first walk over the tree of balanced
-words, counting every length up to n in one pass; words._balanced_counts
-states the proved facts that prune it in O(1) per step.
+The balanced-word oracle counts every length up to n in one pass.  It
+walks only the left special balanced words w (0w and 1w both balanced),
+about n**3 / (2 pi**2) of them, since the count grows from length k to
+k + 1 by the number of left special words of length k;
+words._balanced_counts proves that identity and the facts that prune
+the walk in O(1) per step.  The formula side, sturmian_totals, reads
+every length off one totient sieve.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CapExceededError
 from .exactnum import ExactReal, _floor_quadratic, _radical_sign
@@ -26,6 +31,7 @@ __all__ = [
     "euler_phi",
     "euler_phi_sieve",
     "sturmian_total",
+    "sturmian_totals",
     "balanced_counts",
     "balanced_count",
     "rotation_face_count",
@@ -82,9 +88,18 @@ def sturmian_total(n: int) -> int:
     return 1 + sum(phi[q] * (n + 1 - q) for q in range(1, n + 1))
 
 
+def sturmian_totals(n: int) -> list[int]:
+    """sturmian_total of every length 0..n from one sieve: the total
+    grows from n - 1 to n by phi(1) + ... + phi(n), so the totals are
+    running sums of running sums of the totients."""
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    return list(accumulate(accumulate(euler_phi_sieve(n)[1:]), initial=1))
+
+
 def balanced_counts(n: int, cap: int = DEFAULT_BALANCED_CAP) -> list[int]:
     """Numbers of balanced binary words of lengths 0..n, all from one
-    walk over the tree of balanced words (see balanced_count)."""
+    walk over their left special factors (see words._balanced_counts)."""
     if n < 0:
         raise ValueError("length must be nonnegative")
     if n > cap:
@@ -96,7 +111,7 @@ def balanced_counts(n: int, cap: int = DEFAULT_BALANCED_CAP) -> list[int]:
 
 def balanced_count(n: int, cap: int = DEFAULT_BALANCED_CAP) -> int:
     """Number of balanced binary words of length n: balanced_counts(n)[n],
-    from the one pruned walk of words._balanced_counts."""
+    from the one walk of words._balanced_counts."""
     return balanced_counts(n, cap)[n]
 
 

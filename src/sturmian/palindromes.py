@@ -24,6 +24,7 @@ a 2-vCPU VM with Python 3.11.7).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,7 +44,8 @@ from .words import (
     BinaryWord,
     DirectiveSequence,
     PalindromicTree,
-    _factors,
+    _recurrence_length,
+    _recurrence_prefix,
     _top_level,
     characteristic_prefix,
     standard_words,
@@ -53,6 +55,7 @@ __all__ = [
     "is_palindrome",
     "PalindromicTree",
     "palindrome_factor_count",
+    "palindrome_factor_counts",
     "distinct_palindromic_factors",
     "central_word",
     "PalindromeOccurrence",
@@ -78,17 +81,41 @@ def is_palindrome(w: BinaryWord) -> bool:
     return raw == raw[::-1]
 
 
+def _length_counts(raw: bytes, nmax: int) -> list[int]:
+    """Entry n <= nmax: the number of distinct palindromic factors of
+    length n of raw (entry 0 counts the empty word), read as the
+    histogram of node lengths of its eertree."""
+    sizes = Counter(PalindromicTree(BinaryWord._from_raw(raw))._len)
+    return [sizes[n] for n in range(nmax + 1)]
+
+
 def palindrome_factor_count(
     d: DirectiveSequence, n: int, cap: int = DEFAULT_RECURRENCE_CAP
 ) -> int:
     """h(n): distinct palindromic factors of length n of the
-    characteristic word, read off its prefix of length
-    R(n) = n + q_{k+1} + q_k - 1, q_k <= n < q_{k+1}, which holds every
-    length-n factor (see words._factors); CapExceededError when R(n)
-    exceeds the cap."""
+    characteristic word.
+
+    Its prefix of length R(n) = n + q_{k+1} + q_k - 1, q_k <= n < q_{k+1},
+    holds every length-n factor (see words._recurrence_length), and the
+    eertree of that prefix has one node per distinct palindromic factor,
+    so h(n) is the number of its nodes of length n: O(R(n)) work.
+    CapExceededError when R(n) exceeds the cap."""
     if n < 1:
         raise ValueError("factor length must be at least 1")
-    return sum(f == f[::-1] for f in _factors(d, n, cap))
+    return _length_counts(d._characteristic(_recurrence_length(d, n, cap)), n)[n]
+
+
+def palindrome_factor_counts(
+    d: DirectiveSequence, nmax: int, cap: int = DEFAULT_RECURRENCE_CAP
+) -> list[int]:
+    """[h(0), h(1), ..., h(nmax)], h(0) = 1, from one eertree: R increases
+    with n, so the prefix of length R(nmax) holds every factor of length
+    n <= nmax.  When some n <= nmax cannot be read (R(n) above the cap,
+    or past the end of a finite word), it raises the error that
+    palindrome_factor_count raises for the least such n."""
+    if nmax < 1:
+        raise ValueError("factor length must be at least 1")
+    return _length_counts(_recurrence_prefix(d, nmax, cap), nmax)
 
 
 def distinct_palindromic_factors(u: BinaryWord) -> tuple[int, bool]:

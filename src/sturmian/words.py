@@ -6,9 +6,9 @@ sequence.  Also here: factor sets and factor counts read off a prefix
 of proved length, the balance test with counterexample witness, block
 partitions of characteristic words, a power-freeness check, and the
 eertree of palindromic factors, PalindromicTree, that the balance test
-and the palindrome tools share.  The balanced-word enumeration
-(_balanced_counts) and the palindromic-length DP
-(palindromes._pal_lengths) each carry their own inlined eertree.
+and the palindrome tools share.  The balanced-word count
+(_balanced_counts, two trees) and the palindromic-length DP
+(palindromes._pal_lengths) carry their own inlined eertrees.
 
 A word is stored one symbol per byte (values 0 and 1) and can be
 rendered over {0,1} or {a,b} with the fixed letter coding 0 <-> a,
@@ -51,7 +51,8 @@ __all__ = [
     "DEFAULT_STABILIZE_CAP",
 ]
 
-# Longest prefix a factor count may scan: the cap on R(n) (see _factors).
+# Longest prefix a factor count may scan: the cap on R(n) (see
+# _recurrence_length).
 DEFAULT_RECURRENCE_CAP = 1 << 20
 # The former name, from when the counts doubled a prefix until stable.
 DEFAULT_STABILIZE_CAP = DEFAULT_RECURRENCE_CAP
@@ -565,16 +566,17 @@ def _top_level(d: DirectiveSequence, n: int) -> int:
     return i
 
 
-def _factors(d: DirectiveSequence, n: int, cap: int) -> set[bytes]:
-    """The length-n factors (n >= 1) of the characteristic word of d.
+def _recurrence_length(d: DirectiveSequence, n: int, cap: int) -> int:
+    """R(n) = n + q_{k+1} + q_k - 1 for n >= 1, k the largest index with
+    q_k <= n: the length of a prefix of the characteristic word of d
+    that holds every length-n factor.
 
-    Every one of them occurs in the prefix of length
-    R(n) = n + q_{k+1} + q_k - 1, k the largest index with q_k <= n:
     R is the recurrence function of Morse and Hedlund ("Symbolic
-    dynamics II. Sturmian trajectories", 1940), so every factor of
-    length R(n) holds every factor of length n.  The cap bounds R(n)
-    and is checked before the prefix is built; one scan reads the
-    factors off.
+    dynamics II. Sturmian trajectories", 1940): every factor of length
+    R(n) holds every factor of length n.  ValueError when a finite d
+    has no q_{k+1}; CapExceededError when R(n) exceeds the cap, checked
+    before any prefix is built.  (Reading the prefix of a finite d
+    refuses an R(n) past its whole word.)
     """
     k = _top_level(d, n)
     try:
@@ -588,6 +590,48 @@ def _factors(d: DirectiveSequence, n: int, cap: int) -> set[bytes]:
             f"factors of length {n} need a {length}-symbol prefix, "
             f"above the {cap}-symbol cap"
         )
+    return length
+
+
+def _recurrence_prefix(d: DirectiveSequence, nmax: int, cap: int) -> bytes:
+    """The prefix of length R(nmax) (nmax >= 1), which holds every
+    factor of every length n <= nmax, since R increases with n.
+
+    When some n <= nmax cannot be read, it raises the error of the
+    least such n, the one a loop over n = 1..nmax reading each prefix
+    of length R(n) would meet first.  Failures form a tail: k grows
+    with n, and R increases, within a level q_k <= n < q_{k+1} by one
+    per step and across the step to level k + 1 because
+    q_{k+2} > q_{k+1}.  So the least failing n is found level by level,
+    where R(n) = n + q_{k+1} + q_k - 1 is linear: a level with no
+    q_{k+1} fails from its start q_k; otherwise the first failure is
+    the least n with R(n) above the cap or the whole finite word.
+    """
+    limit = cap
+    if d.is_finite:
+        limit = min(cap, d.q(len(d.explicit)))
+    n = nmax
+    k = _top_level(d, 1)
+    while d.q(k) <= nmax:
+        try:
+            top = d.q(k + 1)
+        except IndexError:
+            n = d.q(k)
+            break
+        first = max(d.q(k), limit - top - d.q(k) + 2)
+        if first < top:
+            n = min(first, nmax)
+            break
+        k += 1
+    # n is nmax, or else the least failing n, whose error this raises
+    return d._characteristic(_recurrence_length(d, n, cap))
+
+
+def _factors(d: DirectiveSequence, n: int, cap: int) -> set[bytes]:
+    """The length-n factors (n >= 1) of the characteristic word of d,
+    read in one scan off its prefix of length R(n) (see
+    _recurrence_length)."""
+    length = _recurrence_length(d, n, cap)
     raw = d._characteristic(length)
     return {raw[i : i + n] for i in range(length - n + 1)}
 
@@ -630,17 +674,19 @@ class PalindromicTree:
     def _feed(self, symbols) -> None:
         """Append each symbol, keeping the node of the longest
         palindromic suffix."""
-        word, length, link, child = self._word, self._len, self._link, self._child
+        word, length, link = self._word, self._len, self._link
+        child0, child1 = self._child
         node = self._last
-        for symbol in symbols:
-            word.append(symbol)
-            pos = len(word) - 1
+        start = len(word)
+        word.extend(symbols)
+        for pos in range(start, len(word)):
+            symbol = word[pos]
             while True:
                 i = pos - length[node] - 1
                 if i >= 0 and word[i] == symbol:
                     break
                 node = link[node]
-            to = child[symbol]
+            to = child1 if symbol else child0
             found = to[node]
             if not found:
                 found = len(length)
@@ -656,8 +702,8 @@ class PalindromicTree:
                     suffix = to[suffix]
                 length.append(length[node] + 2)
                 link.append(suffix)
-                child[0].append(0)
-                child[1].append(0)
+                child0.append(0)
+                child1.append(0)
                 to[node] = found
             node = found
         self._last = node
@@ -720,103 +766,155 @@ def balance_witness(w: BinaryWord):
 
 
 def _balanced_counts(n: int) -> list[int]:
-    """Numbers of balanced binary words of lengths 0..n, from one
-    depth-first walk over the tree of balanced words.
+    """Numbers B(0), ..., B(n) of balanced binary words of lengths 0..n,
+    from one depth-first walk over their left special factors.
 
-    The walk carries the eertree of the current word and undoes it on
-    backtrack.  Three proved facts make each step O(1):
+    Call a balanced word w left special when 0w and 1w are both
+    balanced, and let LS(k) count those of length k.  Three facts
+    shape the walk:
 
-    - Prop. 2.1.3 (see balance_witness).  Appending x to a balanced
-      word w unbalances it iff the longest palindromic suffix x p x of
-      wx is new while (1-x) p (1-x) is a factor of w: a pair 0p0, 1p1
-      must appear at this step, and only the longest palindromic
-      suffix can be new.  The test is one child lookup on node p.
-      Pruning loses nothing: an unbalanced word has no balanced
-      extension, since every factor of a balanced word is balanced.
-    - Balanced words are rich: each prefix ends in a palindrome that
-      is new.  They are the factors of Sturmian words (Lothaire,
-      Prop. 2.1.17), which are rich (Droubay, Justin and Pirillo,
-      2001), and factors of rich words are rich (Glen, Justin, Widmer
-      and Zamboni, 2009).  So every step adds one node, the node of
-      the prefix of length k is k + 1, and undoing a step clears one
-      child entry.
-    - Complementing every symbol is a bijection on balanced words, so
-      the walk visits only the words that start with 0 and doubles
-      each count for n >= 1.
+    - B(k + 1) = B(k) + LS(k).  Deleting the first symbol maps each
+      balanced word of length k + 1 to a balanced word w of length k,
+      since a suffix of a balanced word is balanced, and the words it
+      maps to w are those of 0w, 1w that are balanced.  There is at
+      least one: w is a factor of a Sturmian word (Lothaire, "Algebraic
+      Combinatorics on Words", 2002, Prop. 2.1.17), which is recurrent,
+      so w occurs there after some symbol a, and aw, a factor of a
+      Sturmian word, is balanced.  There are two exactly when w is
+      left special; summing over w gives the identity.
+    - The left special words are closed under prefixes: if 0w and 1w
+      are balanced, so are their factors 0u and 1u for each prefix u
+      of w.  So the walk reaches every one of them by appending a
+      symbol to a shorter one, and prunes every other branch.
+    - They are closed under complement, since complementing every
+      symbol maps balanced words onto balanced words.  So the walk
+      visits only those that start with 0, and doubles LS(k) for
+      k >= 1 (LS(0) = 1: 0 and 1 are balanced).
+
+    The walk carries the eertrees of 0w and of 1w and undoes them on
+    backtrack.  Appending x to a balanced word u unbalances it iff the
+    longest palindromic suffix x p x of ux is new while (1-x) p (1-x)
+    is a factor of u (Prop. 2.1.3, see balance_witness): a pair 0p0,
+    1p1 must appear at this step, and only the longest palindromic
+    suffix can be new.  So wx is left special iff one child lookup
+    on node p refuses x in neither tree.  Balanced words are rich: they
+    are the factors of Sturmian words, which are rich (Droubay, Justin
+    and Pirillo, 2001), and factors of rich words are rich (Glen,
+    Justin, Widmer and Zamboni, 2009).  So each step adds one node to
+    each tree, the node of the prefix of length k is k + 1, and undoing
+    a step clears one child entry per tree.
 
     Nodes are ints as in PalindromicTree.  In place of the suffix link
     each node v has a direct link per symbol a: the longest proper
     palindromic suffix of v that v precedes by a, or the root 0 of
     length -1 when there is none.  That finds p, and the suffix of a
     new node, in one lookup each, where suffix links would need a walk
-    whose amortized bound backtracking voids.  Every balanced word has
-    a balanced extension, so the walk descends into one and stacks the
-    other when both grow; it keeps its own stack, so no length can
-    exhaust Python's.
+    whose amortized bound backtracking voids.  The walk descends into
+    one left special extension and stacks the other when both exist;
+    it keeps its own stack, so no length can exhaust Python's.  It
+    stops at length n - 2, where it only counts the extensions, and
+    visits about n**3 / (2 pi**2) words.
     """
-    if n < 2:
-        return [1, 2][: n + 1]
-    counts = [1, 1] + [0] * (n - 1)
-    # Node 2 is the palindrome 0, the word's first symbol; its empty
-    # suffix is preceded by 0.
-    length = [-1, 0, 1] + [0] * (n - 1)
-    to0 = [2] + [0] * (n + 1)
-    to1 = [0] * (n + 2)
-    by0 = [0, 0, 1] + [0] * (n - 1)
-    by1 = [0] * (n + 2)
-    up = [0] * (n + 2)  # the node p of v = x p x
-    word = bytearray(n)
-    pending = []  # (depth, x, p): the second extension of a prefix
-    leaf = n - 1
+    if n < 3:
+        return [1, 2, 4][: n + 1]
+    size = n + 2
+    pad = [0] * (size - 4)
+    # The walk starts at w = 0.  Tree a is the eertree of 0w = 00: node 2
+    # is the palindrome 0, a child of the root 0 (of length -1), and node
+    # 3 is 00, a child of the root 1 (of length 0).  Tree b is that of
+    # 1w = 10: nodes 2 and 3 are 1 and 0, both children of the root 0.
+    # Each tree reads its own word.
+    len_a = [-1, 0, 1, 2] + pad
+    a0 = [2, 3] + [0] * (size - 2)
+    a1 = [0] * size
+    ab0 = [0, 0, 1, 2] + pad
+    ab1 = [0] * size
+    up_a = [0, 0, 0, 1] + pad  # the node p of v = x p x
+    word_a = bytearray(size)
+    len_b = [-1, 0, 1, 1] + pad
+    b0 = [3] + [0] * (size - 1)
+    b1 = [2] + [0] * (size - 1)
+    bb0 = [0, 0, 0, 1] + pad
+    bb1 = [0, 0, 1, 0] + pad
+    up_b = [0] * size
+    word_b = bytearray(size)
+    word_b[0] = 1
+    half = [0, 1] + [0] * (n - 2)  # LS(k) / 2 for k >= 1
+    pending = []  # (depth, p in a, p in b) for appending 1
+    leaf = n - 2
     depth = 1
     while True:
-        # p0, p1: the node p for appending 0, 1.  It is the longest
-        # palindromic suffix when the symbol before it matches, else
-        # that node's direct link.
-        node = depth + 1
-        i = depth - length[node] - 1
+        # In each tree, the node p for appending 0 and for appending 1:
+        # the longest palindromic suffix when the symbol before it
+        # matches, else that node's direct link.
+        node = depth + 2
+        i = depth - len_a[node]
         if i < 0:
-            p0, p1 = by0[node], by1[node]
-        elif word[i]:
-            p0, p1 = by0[node], node
+            pa0, pa1 = ab0[node], ab1[node]
+        elif word_a[i]:
+            pa0, pa1 = ab0[node], node
         else:
-            p0, p1 = node, by1[node]
-        grow0 = not (p0 and to1[p0])
-        grow1 = not (p1 and to0[p1])
-        if depth == leaf:
-            counts[n] += grow0 + grow1
+            pa0, pa1 = node, ab1[node]
+        i = depth - len_b[node]
+        if i < 0:
+            pb0, pb1 = bb0[node], bb1[node]
+        elif word_b[i]:
+            pb0, pb1 = bb0[node], node
+        else:
+            pb0, pb1 = node, bb1[node]
+        ok0 = not (pa0 and a1[pa0] or pb0 and b1[pb0])
+        ok1 = not (pa1 and a0[pa1] or pb1 and b0[pb1])
+        if depth < leaf and (ok0 or ok1):
+            if not ok0:
+                x, pa, pb = 1, pa1, pb1
+            else:
+                if ok1:
+                    pending.append((depth, pa1, pb1))
+                x, pa, pb = 0, pa0, pb0
+        else:
+            if depth == leaf:
+                half[n - 1] += ok0 + ok1
             if not pending:
                 break
-            d, x, p = pending.pop()
-            # Back to depth d: drop the nodes d + 2 .. depth + 1.
+            d, pa, pb = pending.pop()
+            x = 1
+            # Back to depth d: drop the nodes d + 3 .. depth + 2.
             while depth > d:
-                (to1 if word[depth - 1] else to0)[up[depth + 1]] = 0
+                v = depth + 2
+                if word_a[depth]:
+                    a1[up_a[v]] = b1[up_b[v]] = 0
+                else:
+                    a0[up_a[v]] = b0[up_b[v]] = 0
                 depth -= 1
-        elif grow0:
-            if grow1:
-                pending.append((depth, 1, p1))
-            x, p = 0, p0
-        else:
-            x, p = 1, p1
-        word[depth] = x
         depth += 1
-        counts[depth] += 1
-        v = depth + 1
-        length[v] = length[p] + 2
+        half[depth] += 1
+        word_a[depth] = word_b[depth] = x
+        v = depth + 2
+        len_a[v] = len_a[pa] + 2
+        len_b[v] = len_b[pb] + 2
+        up_a[v], up_b[v] = pa, pb
         if x:
-            s = to1[by1[p]] if p else 1
-            to1[p] = v
+            s = a1[ab1[pa]] if pa else 1
+            t = b1[bb1[pb]] if pb else 1
+            a1[pa] = b1[pb] = v
         else:
-            s = to0[by0[p]] if p else 1
-            to0[p] = v
-        # s is the longest proper palindromic suffix of v; the symbol
-        # before it in v is word[depth - 1 - length[s]].
-        if word[depth - 1 - length[s]]:
-            by0[v], by1[v] = by0[s], s
+            s = a0[ab0[pa]] if pa else 1
+            t = b0[bb0[pb]] if pb else 1
+            a0[pa] = b0[pb] = v
+        # s and t are the longest proper palindromic suffixes of v in
+        # each tree; the symbol before one in v is at depth - its length.
+        if word_a[depth - len_a[s]]:
+            ab0[v], ab1[v] = ab0[s], s
         else:
-            by0[v], by1[v] = s, by1[s]
-        up[v] = p
-    return [1] + [2 * c for c in counts[1:]]
+            ab0[v], ab1[v] = s, ab1[s]
+        if word_b[depth - len_b[t]]:
+            bb0[v], bb1[v] = bb0[t], t
+        else:
+            bb0[v], bb1[v] = t, bb1[t]
+    counts = [1, 2]  # LS(0) = 1
+    for k in range(1, n):
+        counts.append(counts[-1] + 2 * half[k])
+    return counts
 
 
 def n_partition(d: DirectiveSequence, m: int, length: int) -> list[int]:

@@ -23,6 +23,7 @@ from sturmian.counting import (
     rotation_word_count,
     rotation_word_samples,
     sturmian_total,
+    sturmian_totals,
 )
 from sturmian.errors import CapExceededError
 from sturmian.exactnum import ExactReal, compare, parse_real
@@ -161,6 +162,13 @@ class TestSturmianTotal:
         assert len(counts) == DEFAULT_BALANCED_CAP + 1
         for n, count in enumerate(counts):
             assert sturmian_total(n) == count
+
+    def test_totals_in_one_pass(self):
+        # one sieve and a running sum give every row of count sturmian --upto
+        assert sturmian_totals(300) == [sturmian_total(n) for n in range(301)]
+        assert sturmian_totals(0) == [1]
+        with pytest.raises(ValueError):
+            sturmian_totals(-1)
 
     def test_asymptotics(self):
         n = 2000

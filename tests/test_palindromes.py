@@ -34,12 +34,19 @@ from sturmian.palindromes import (
     pal_length,
     pal_length_profile,
     palindrome_factor_count,
+    palindrome_factor_counts,
     palindromes_starting_at,
     z_vector,
     ZdGapWitness,
     zd_max_gap,
 )
-from sturmian.words import BinaryWord, DirectiveSequence, characteristic_prefix
+from sturmian.words import (
+    DEFAULT_RECURRENCE_CAP,
+    BinaryWord,
+    DirectiveSequence,
+    _factors,
+    characteristic_prefix,
+)
 
 FIB = DirectiveSequence.parse("fib")
 D2 = DirectiveSequence.parse("2,(2)")
@@ -162,6 +169,77 @@ class TestFactorCounts:
         assert palindrome_factor_count(FIB, 10, cap=30) == 1
         with pytest.raises(CapExceededError):
             palindrome_factor_count(FIB, 10, cap=29)
+
+
+def per_n_palindrome_count(d, n, cap=DEFAULT_RECURRENCE_CAP):
+    """h(n) as the palindromes among the length-n factors of the prefix
+    of length R(n): one factor set per n, O(n R(n)) bytes."""
+    return sum(f == f[::-1] for f in _factors(d, n, cap))
+
+
+def per_n_outcome(d, nmax, cap):
+    """[h(1), ..., h(nmax)] by one factor set per n, or the type and
+    message of the first error that loop meets."""
+    counts = []
+    try:
+        for n in range(1, nmax + 1):
+            counts.append(per_n_palindrome_count(d, n, cap))
+    except (ValueError, CapExceededError) as exc:
+        return type(exc), str(exc)
+    return counts
+
+
+def one_pass_outcome(d, nmax, cap):
+    try:
+        return palindrome_factor_counts(d, nmax, cap)[1:]
+    except (ValueError, CapExceededError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFactorCountsInOnePass:
+    def test_matches_per_n_sets(self):
+        # a finite directive whose whole word, of 2365 symbols, holds
+        # every factor of length n <= 381
+        for text in ("fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)", "1,2,3,4,5,6"):
+            d = DirectiveSequence.parse(text)
+            counts = palindrome_factor_counts(d, 300)
+            assert counts[0] == 1
+            for n in range(1, 301):
+                assert counts[n] == per_n_palindrome_count(d, n), (text, n)
+                if n % 50 == 0:
+                    assert palindrome_factor_count(d, n) == counts[n]
+
+    def test_first_failure_matches_per_n_loop(self):
+        # the least unreadable n is found level by level; its message,
+        # the cap's or the finite word's, must be the one the per-n loop
+        # meets first
+        cases = [("fib", cap) for cap in (2, 3, 4, 10, 29, 30, 31, 55, 200)]
+        cases += [("200,(1)", cap) for cap in (150, 201, 202, 260, 403)]
+        cases += [("0,2,(1,3)", 40), ("62,(62)", 100)]
+        finite = ("1,2,3", "2,3,5", "0", "5", "0,1", "0,3,1", "1,1,1,1", "1,2,3,4,5,6")
+        for text in finite:
+            cases += [(text, DEFAULT_RECURRENCE_CAP), (text, 20)]
+        for text, cap in cases:
+            d = DirectiveSequence.parse(text)
+            for nmax in range(1, 41):
+                want = per_n_outcome(DirectiveSequence.parse(text), nmax, cap)
+                assert one_pass_outcome(d, nmax, cap) == want, (text, cap, nmax)
+
+    def test_single_length_keeps_its_own_error(self):
+        # n = 12 on 1,2,3 fails with its own R(12) = 33, not with R(5) = 26
+        # of the least failing length
+        d = DirectiveSequence.parse("1,2,3")
+        with pytest.raises(ValueError, match="prefix of length 33"):
+            palindrome_factor_count(d, 12)
+        with pytest.raises(ValueError, match="prefix of length 26"):
+            palindrome_factor_counts(d, 12)
+        with pytest.raises(ValueError):
+            palindrome_factor_counts(FIB, 0)
+
+    def test_fibonacci_parity_to_100000(self):
+        counts = palindrome_factor_counts(FIB, 10**5)
+        assert len(counts) == 10**5 + 1
+        assert all(counts[n] == 1 + n % 2 for n in range(1, 10**5 + 1))
 
 
 class TestRichness:

@@ -14,6 +14,7 @@ from sturmian.exactnum import (
     parse_real,
 )
 import sturmian.words as words_mod
+from sturmian.counting import sturmian_totals
 from sturmian.ostrowski import standard_lengths
 from sturmian.words import (
     BinaryWord,
@@ -790,6 +791,120 @@ class TestBalance:
         letter, lo, hi = balance_witness(BinaryWord(bytes(raw)))
         assert letter == 1 and len(lo) == len(hi)
         assert hi.count(1) - lo.count(1) == 2
+
+
+def tree_balanced_counts(n):
+    """The balanced-word counts of lengths 0..n from the former walk over
+    every balanced word that starts with 0, about n**4 / (8 pi**2) of
+    them, with one undoable eertree and the same one-lookup refusal
+    (Prop. 2.1.3) as words._balanced_counts; the counts are doubled by
+    complement symmetry."""
+    if n < 2:
+        return [1, 2][: n + 1]
+    counts = [1, 1] + [0] * (n - 1)
+    # Node 2 is the palindrome 0, the word's first symbol; its empty
+    # suffix is preceded by 0.
+    length = [-1, 0, 1] + [0] * (n - 1)
+    to0 = [2] + [0] * (n + 1)
+    to1 = [0] * (n + 2)
+    by0 = [0, 0, 1] + [0] * (n - 1)
+    by1 = [0] * (n + 2)
+    up = [0] * (n + 2)  # the node p of v = x p x
+    word = bytearray(n)
+    pending = []  # (depth, x, p): the second extension of a prefix
+    leaf = n - 1
+    depth = 1
+    while True:
+        # p0, p1: the node p for appending 0, 1.  It is the longest
+        # palindromic suffix when the symbol before it matches, else
+        # that node's direct link.
+        node = depth + 1
+        i = depth - length[node] - 1
+        if i < 0:
+            p0, p1 = by0[node], by1[node]
+        elif word[i]:
+            p0, p1 = by0[node], node
+        else:
+            p0, p1 = node, by1[node]
+        grow0 = not (p0 and to1[p0])
+        grow1 = not (p1 and to0[p1])
+        if depth == leaf:
+            counts[n] += grow0 + grow1
+            if not pending:
+                break
+            d, x, p = pending.pop()
+            # Back to depth d: drop the nodes d + 2 .. depth + 1.
+            while depth > d:
+                (to1 if word[depth - 1] else to0)[up[depth + 1]] = 0
+                depth -= 1
+        elif grow0:
+            if grow1:
+                pending.append((depth, 1, p1))
+            x, p = 0, p0
+        else:
+            x, p = 1, p1
+        word[depth] = x
+        depth += 1
+        counts[depth] += 1
+        v = depth + 1
+        length[v] = length[p] + 2
+        if x:
+            s = to1[by1[p]] if p else 1
+            to1[p] = v
+        else:
+            s = to0[by0[p]] if p else 1
+            to0[p] = v
+        # s is the longest proper palindromic suffix of v; the symbol
+        # before it in v is word[depth - 1 - length[s]].
+        if word[depth - 1 - length[s]]:
+            by0[v], by1[v] = by0[s], s
+        else:
+            by0[v], by1[v] = s, by1[s]
+        up[v] = p
+    return [1] + [2 * c for c in counts[1:]]
+
+
+def left_special_counts(top):
+    """By brute force over every word of length <= top: the balanced
+    words of each length, and those w of each length < top with 0w and
+    1w both balanced."""
+    def word(x, k):
+        return BinaryWord([(x >> i) & 1 for i in range(k)])
+
+    balanced = [
+        {x for x in range(1 << k) if is_balanced(word(x, k))} for k in range(top + 1)
+    ]
+    # bit i of x is symbol i, so 0w and 1w are 2x and 2x + 1
+    special = [
+        {x for x in balanced[k] if {2 * x, 2 * x + 1} <= balanced[k + 1]}
+        for k in range(top)
+    ]
+    return balanced, special
+
+
+class TestBalancedWalk:
+    def test_matches_whole_tree_walk(self):
+        whole = tree_balanced_counts(60)
+        for n in range(61):
+            assert words_mod._balanced_counts(n) == whole[: n + 1]
+        assert tree_balanced_counts(5) == whole[:6]
+
+    def test_matches_formula_to_200(self):
+        assert words_mod._balanced_counts(200) == sturmian_totals(200)
+
+    def test_left_special_identity(self):
+        # B(k + 1) - B(k) = LS(k), and the left special words are closed
+        # under prefixes and under complement, over every word to length 14
+        balanced, special = left_special_counts(14)
+        walk = words_mod._balanced_counts(14)
+        for k in range(14):
+            assert len(balanced[k + 1]) - len(balanced[k]) == len(special[k])
+            assert walk[k + 1] == len(balanced[k + 1])
+            mask = (1 << k) - 1
+            for x in special[k]:
+                assert x ^ mask in special[k]
+                if k:
+                    assert x & (mask >> 1) in special[k - 1]
 
 
 class TestNPartition:
