@@ -439,7 +439,7 @@ def _cmd_verify_h_pattern(args) -> int:
 def _cmd_verify_balanced_vs_formula(args) -> int:
     nmax = _nonnegative(args.nmax, "--nmax")
     cap = _resolve_cap(args.cap, DEFAULT_BALANCED_CAP)
-    oracles = balanced_counts(nmax, cap=cap)
+    oracles = balanced_counts(nmax, cap=cap)  # refuses nmax before any sieve
     rows = []
     for n, (formula, oracle) in enumerate(zip(sturmian_totals(nmax), oracles)):
         status = "ok" if formula == oracle else "FAIL"
