@@ -47,10 +47,10 @@ from .ostrowski import (
 from .palindromes import (
     DEFAULT_PROFILE_CAP,
     _check_profile_length,
+    _witness_tuples,
     central_word,
     construct_hard_prefix,
     distinct_palindromic_factors,
-    occurrence_witnesses,
     pal_length,
     pal_length_profile,
     palindrome_factor_count,
@@ -100,8 +100,9 @@ def _emit_table(fmt: str, headers: list[str], rows: list) -> None:
         for row in rows:
             writer.writerow([_cell(x) for x in row])
     else:
-        for row in rows:
-            print("\t".join(_cell(x) for x in row))
+        sys.stdout.writelines(
+            "\t".join(map(_cell, row)) + "\n" for row in rows
+        )
 
 
 def _emit_scalar(fmt: str, value) -> None:
@@ -364,13 +365,23 @@ def _cmd_pal_starting_at(args) -> int:
     return 0
 
 
-_TPR_HEADERS = ["p1", "p2", "rep_p1", "m", "y_m", "rep_p2", "fallback_used",
-                "status"]
-# the csv cells of an occurrence without a witness
-_NO_WITNESS = {"rep_p1": "", "m": -1, "y_m": -1, "rep_p2": "",
-               "fallback_used": False}
-# the encoder json.dumps(rec, sort_keys=True) would build once per record
-_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+# One template per format and record kind, filled by str.format with
+# the tuple (p1, p2, rep_p1, m, y_m, rep_p2, fallback_used) of
+# palindromes._witness_tuples: a witness, by fallback_used, and a FAIL.
+# The json object is what json.dumps(record, sort_keys=True) writes; the
+# renderings hold only digits and dots, so no string needs escaping.
+_TPR_OBJECT = ('{{"fallback_used": FLAG, "m": {3}, "p1": {0}, "p2": {1}, '
+               '"rep_p1": "{2}", "rep_p2": "{5}", "y_m": {4}}}')
+_TPR_FAIL = '{{"p1": {0}, "p2": {1}, "status": "FAIL"}}'
+_TPR_CSV = "{0},{1},{2},{3},{4},{5},FLAG,ok\n"
+_TPR_TEMPLATES = {
+    fmt: (tuple(ok.replace("FLAG", flag) for flag in ("false", "true")), fail)
+    for fmt, ok, fail in (
+        ("text", _TPR_OBJECT + "\n", _TPR_FAIL + "\n"),
+        ("json", _TPR_OBJECT, _TPR_FAIL),
+        ("csv", _TPR_CSV, "{0},{1},,-1,-1,,false,FAIL\n"),
+    )
+}
 
 
 def _cmd_verify_tpr(args) -> int:
@@ -379,30 +390,38 @@ def _cmd_verify_tpr(args) -> int:
     pmax = _positive(args.pmax, "--pmax")
     if pmax > cap:
         raise CapExceededError(f"--pmax is capped at {cap}, got {pmax}")
-    records = list(occurrence_witnesses(d, pmax))
-    if args.format == "csv":
-        rows = [
-            [{**_NO_WITNESS, "status": "ok", **rec}[h] for h in _TPR_HEADERS]
-            for rec in records
-        ]
-        return _emit_verify("csv", "tpr", _TPR_HEADERS, rows)
-    failures = sum(rec.get("status") == "FAIL" for rec in records)
-    fallbacks = sum(rec.get("fallback_used", False) for rec in records)
+    records = _witness_tuples(d, pmax)  # refuses before any output
+    fmt = args.format
+    ok, fail = _TPR_TEMPLATES[fmt]
+    # text and csv write their lines 4096 at a time; json, whose sorted
+    # keys put the counts before the records, keeps them all
+    stream = fmt != "json"
+    if fmt == "csv":
+        print("p1,p2,rep_p1,m,y_m,rep_p2,fallback_used,status")
+    lines = []
+    occurrences = fallbacks = failures = 0
+    for rec in records:
+        occurrences += 1
+        if rec[2] is None:
+            failures += 1
+            lines.append(fail.format(*rec))
+        else:
+            fallbacks += rec[6]
+            lines.append(ok[rec[6]].format(*rec))
+        if stream and len(lines) == 4096:
+            sys.stdout.write("".join(lines))
+            lines.clear()
     passed = failures == 0
-    if args.format == "json":
-        doc = {
-            "schema": 1,
-            "verify": "tpr",
-            "pass": passed,
-            "occurrences": len(records),
-            "fallbacks": fallbacks,
-            "records": records,
-        }
-        print(json.dumps(doc, sort_keys=True))
+    if fmt == "json":
+        print(f'{{"fallbacks": {fallbacks}, "occurrences": {occurrences}, '
+              f'"pass": {"true" if passed else "false"}, '
+              f'"records": [{", ".join(lines)}], '
+              f'"schema": 1, "verify": "tpr"}}')
     else:
-        sys.stdout.writelines(f"{_SORTED_JSON.encode(rec)}\n" for rec in records)
-        print(f"occurrences={len(records)} fallbacks={fallbacks} "
-              f"failures={failures}")
+        sys.stdout.write("".join(lines))
+        if fmt == "text":
+            print(f"occurrences={occurrences} fallbacks={fallbacks} "
+                  f"failures={failures}")
         print("pass" if passed else "fail")
     return 0 if passed else 2
 

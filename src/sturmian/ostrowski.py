@@ -224,17 +224,24 @@ class _ValidDigitDag:
         prefix = characteristic_prefix(d, n).raw
         self.runs = []
         for q, w in zip(self.qs, standard_words(d, len(self.qs) - 1)[1:]):
+            # the positions where s_i matches, from bytes.find, filled
+            # from the right so each run extends the one q further on
+            w, hits = w.raw, []
+            p = prefix.find(w)
+            while p >= 0:
+                hits.append(p)
+                p = prefix.find(w, p + 1)
             run = [0] * (n + 1)
-            for p in range(n - q, -1, -1):
-                if prefix.startswith(w.raw, p):
-                    run[p] = run[p + q] + 1
+            for p in reversed(hits):
+                run[p] = run[p + q] + 1
             self.runs.append(run)
 
-    def valid(self, digits) -> bool:
-        """True iff the digit vector (least significant first, decoding
-        to at most n) is a path from the root: is_valid read off the
-        run table.  Trailing zeros are allowed."""
-        runs, qs, pos = self.runs, self.qs, 0
+    def valid(self, digits, pos: int = 0) -> bool:
+        """True iff the digit vector (least significant first) is a path
+        from the node (len(digits) - 1, pos).  With pos 0 that node is
+        the root, and for a vector decoding to at most n this is
+        is_valid read off the run table.  Trailing zeros are allowed."""
+        runs, qs = self.runs, self.qs
         for i in range(len(digits) - 1, -1, -1):
             k = digits[i]
             if k:

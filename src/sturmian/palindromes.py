@@ -293,28 +293,28 @@ def _witness(p1, p2, table: _DigitTable, m, qs, dsums, valid):
     """The witness rule: (pivot, y, digits) for the occurrence
     (p1..p2], where table is p1's _DigitTable, m the level of the
     maximal extension's central word (None if it is none), qs holds q_i
-    for every level read, dsums[p] = D_p = sum_{i<p} d_i q_i, and
-    valid(digits) checks a mirror's validity, digits least significant
-    first.  Pivot m is tried first, then m - 2 (see occurrence_witness).
+    for every level read, and dsums[p] = D_p = sum_{i<p} d_i q_i.
+    Pivot m is tried first, then m - 2 (see occurrence_witness).
 
     The mirror at pivot p keeps x_i above p and takes d_i - x_i below
     it, so it decodes to (D_p - X_p) + y q_p + (p1 - X_{p+1}), with
-    X_p = table.sums[p]: y costs one division."""
+    X_p = table.sums[p]: y costs one division.  valid(low, pos) checks
+    the mirror's digits at and below p, low (least significant first),
+    placed from position pos = p1 - X_{p+1}, where x's own digits above
+    p end."""
     if m is not None:
         xs, sums, comp, _ = table
         for pivot in (m, m - 2):
             if pivot < 0:
                 break
-            y, rem = divmod(
-                p2 - p1 - dsums[pivot] + sums[pivot] + sums[pivot + 1],
-                qs[pivot],
-            )
+            above = p1 - sums[pivot + 1]
+            y, rem = divmod(p2 - dsums[pivot] + sums[pivot] - above, qs[pivot])
             if rem == 0 and y >= 0:
-                digits = comp[:pivot]
-                digits.append(y)
-                digits += xs[pivot + 1 :]
-                if valid(digits):
-                    return pivot, y, digits
+                low = comp[:pivot]
+                low.append(y)
+                if valid(low, above):
+                    low += xs[pivot + 1 :]
+                    return pivot, y, low
     raise TheoremViolationError(
         f"no witness exists for palindromic occurrence ({p1}..{p2}]"
     )
@@ -358,9 +358,13 @@ def occurrence_witness(occ: PalindromeOccurrence) -> OccurrenceWitness:
     qs = [d.q(i) for i in range(max(_top_level(d, occ.p1), m or 0) + 1)]
     ds = [d.digit(i) for i in range(m or 0)]
     table = _digit_table(occ.p1, qs, ds)
+
+    def valid(low, pos):
+        # the whole mirror, x's digits above the pivot included
+        return is_valid(OstrowskiRep(d, (*low, *table.xs[len(low) :])))
+
     pivot, y, digits = _witness(
-        occ.p1, occ.p2, table, m, qs, _prefix_sums(ds, qs),
-        lambda digs: is_valid(OstrowskiRep(d, tuple(digs))),
+        occ.p1, occ.p2, table, m, qs, _prefix_sums(ds, qs), valid
     )
     x, rep_p2 = OstrowskiRep(d, table.xs), OstrowskiRep(d, tuple(digits))
     return OccurrenceWitness(occ.p1, occ.p2, x, pivot, y, rep_p2, pivot != m)
@@ -370,7 +374,19 @@ def occurrence_witnesses(d: DirectiveSequence, pmax: int):
     """Yield the record of every palindromic occurrence (p1..p2] with
     p2 <= pmax, ordered by p2, then p1: the witness's to_record(), or
     {"p1", "p2", "status": "FAIL"} where occurrence_witness would raise
-    TheoremViolationError.
+    TheoremViolationError.  See _witness_tuples."""
+    keys = ("p1", "p2", "rep_p1", "m", "y_m", "rep_p2", "fallback_used")
+    for rec in _witness_tuples(d, pmax):
+        if rec[2] is None:
+            yield {"p1": rec[0], "p2": rec[1], "status": "FAIL"}
+        else:
+            yield dict(zip(keys, rec))
+
+
+def _witness_tuples(d: DirectiveSequence, pmax: int):
+    """An iterator over the records of occurrence_witnesses as tuples
+    (p1, p2, rep_p1, m, y_m, rep_p2, fallback_used), rep_p1 None (and
+    fallback_used False) for a FAIL.
 
     One Manacher pass ("A new linear-time on-line algorithm for finding
     the smallest initial palindrome of a string", J. ACM 1975) over the
@@ -381,13 +397,17 @@ def occurrence_witnesses(d: DirectiveSequence, pmax: int):
     longest one is the maximal extension (the left edge stops it
     first).  So the work is O(pmax + occurrences): the central word of
     each centre is looked up once, and what the witness rule reads of
-    p1 (its _DigitTable, rendering included) is built once per p1.  A
-    record then costs one division for y, one read of the valid-digit
-    DAG's run table for the mirror's validity, and one rendering of the
-    mirror; no OstrowskiRep or OccurrenceWitness is built.  On a finite
-    directive at most the whole word is read; ValueError, before any
-    record, if an occurrence's maximal extension reaches its end with
-    p1 > 0.
+    p1 (its _DigitTable, rendering included) is built once per p1.
+
+    Validity is read off the run table of the valid-digit DAG.  The
+    canonical vector x of p1 is walked once, when its table is built;
+    a mirror keeps x's digits above its pivot, so it is walked only
+    from its pivot down.  Every record of a p1 whose x fails that walk
+    is a FAIL.  A record then costs one division for y, that walk, and
+    one rendering of the mirror; no OstrowskiRep or OccurrenceWitness
+    is built.  On a finite directive at most the whole word is read;
+    ValueError, before the iterator is returned, if an occurrence's
+    maximal extension reaches its end with p1 > 0.
     """
     if pmax < 1:
         raise ValueError("the occurrence bound must be positive")
@@ -430,30 +450,33 @@ def occurrence_witnesses(d: DirectiveSequence, pmax: int):
     # digits, q_m <= pmax since 2 q_m - 1 <= |c_{m,j}| < 2 pmax, and the
     # mirror reads d_i only below m.
     dag = _ValidDigitDag(d, pmax)
-    qs, valid = dag.qs, dag.valid
+    qs = dag.qs
     ds = [d.digit(i) for i in range(len(qs) - 1)]
-    dsums = _prefix_sums(ds, qs)
-    tables: dict[int, _DigitTable] = {}
+    tables = []  # by p1 < pmax; None where x is not a path of the DAG
+    for p1 in range(pmax):
+        table = _digit_table(p1, qs, ds)
+        tables.append(table if dag.valid(table.xs) else None)
+    return _witness_stream(starts, level, tables, qs, _prefix_sums(ds, qs),
+                           dag.valid)
+
+
+def _witness_stream(starts, level, tables, qs, dsums, valid):
+    """The tuples of _witness_tuples, from its occurrences by p2 and
+    the level and tables it built."""
     for p2, p1s in enumerate(starts):
         for p1 in p1s:
-            table = tables.get(p1)
-            if table is None:
-                table = tables[p1] = _digit_table(p1, qs, ds)
-            m = level[p1 + p2]
-            try:
-                pivot, y, digits = _witness(p1, p2, table, m, qs, dsums, valid)
-            except TheoremViolationError:
-                yield {"p1": p1, "p2": p2, "status": "FAIL"}
-                continue
-            yield {
-                "p1": p1,
-                "p2": p2,
-                "rep_p1": table.rendered,
-                "m": pivot,
-                "y_m": y,
-                "rep_p2": _render(digits),
-                "fallback_used": pivot != m,
-            }
+            table, m, witness = tables[p1], level[p1 + p2], None
+            if table is not None:
+                try:
+                    witness = _witness(p1, p2, table, m, qs, dsums, valid)
+                except TheoremViolationError:
+                    pass
+            if witness is None:
+                yield p1, p2, None, None, None, None, False
+            else:
+                pivot, y, digits = witness
+                yield (p1, p2, table.rendered, pivot, y, _render(digits),
+                       pivot != m)
 
 
 def z_vector(rep: OstrowskiRep) -> tuple[int, ...]:

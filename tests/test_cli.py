@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import sturmian
-from sturmian import cli
+from sturmian import cli, palindromes
 
 BASE = [sys.executable, "-m", "sturmian"]
 # the child runs the package the tests import, installed or not
@@ -279,6 +279,39 @@ class TestVerify:
                 "error: directive sequence too short to extend (9..11]: its "
                 "maximal extension reaches the end of the word at 17\n"
             )
+
+    def test_tpr_fail_record(self, monkeypatch):
+        # every mirror of (4..7] rejected: that record, and only it,
+        # becomes FAIL in each format, and the verdict is fail
+        monkeypatch.delenv("STURM_CAP", raising=False)
+        argv = ["verify", "tpr", "--d", "fib", "--pmax", "40", "--format"]
+        clean = {fmt: run_in_process(*argv, fmt) for fmt in cli._FORMATS}
+        witness = palindromes._witness
+
+        def reject(p1, p2, table, m, qs, dsums, valid):
+            if (p1, p2) == (4, 7):
+                valid = lambda *args: False
+            return witness(p1, p2, table, m, qs, dsums, valid)
+
+        monkeypatch.setattr(palindromes, "_witness", reject)
+        out = {fmt: run_in_process(*argv, fmt) for fmt in cli._FORMATS}
+        for fmt in cli._FORMATS:
+            assert out[fmt][0] == 2 and out[fmt][2] == ""
+        fail_json = '{"p1": 4, "p2": 7, "status": "FAIL"}'
+        lines = out["text"][1].splitlines()
+        before = clean["text"][1].splitlines()
+        assert lines[11] == fail_json
+        assert lines[-2:] == ["occurrences=152 fallbacks=7 failures=1", "fail"]
+        assert lines[:11] + lines[12:-2] == before[:11] + before[12:-2]
+        rows, before = out["csv"][1].splitlines(), clean["csv"][1].splitlines()
+        assert rows[12] == "4,7,,-1,-1,,false,FAIL"
+        assert rows[-1] == "fail"
+        assert rows[:12] + rows[13:-1] == before[:12] + before[13:-1]
+        doc, before = json.loads(out["json"][1]), json.loads(clean["json"][1])
+        assert f", {fail_json}, " in out["json"][1]
+        assert doc["records"][11] == {"p1": 4, "p2": 7, "status": "FAIL"}
+        del doc["records"][11], before["records"][11]
+        assert doc == {**before, "pass": False}
 
     def test_h_pattern(self):
         r = run_cli("verify", "h-pattern", "--d", "fib", "--nmax", "8")

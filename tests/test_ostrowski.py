@@ -6,6 +6,7 @@ import pytest
 
 from sturmian.errors import CapExceededError
 from sturmian.ostrowski import (
+    _ValidDigitDag,
     OstrowskiRep,
     decode,
     digits_to_word,
@@ -19,7 +20,12 @@ from sturmian.ostrowski import (
     standard_lengths,
 )
 from sturmian.palindromes import central_word
-from sturmian.words import BinaryWord, DirectiveSequence, characteristic_prefix
+from sturmian.words import (
+    BinaryWord,
+    DirectiveSequence,
+    characteristic_prefix,
+    standard_words,
+)
 
 FIB = DirectiveSequence.parse("fib")
 D2 = DirectiveSequence.parse("2,(2)")
@@ -230,3 +236,35 @@ class TestEnumeration:
             enumerate_valid_reps(10**6, FIB, cap=50)
         with pytest.raises(CapExceededError):
             enumerate_legal_reps(10**6, FIB, cap=50)
+
+
+def startswith_runs(d, n, qs):
+    """The run table by one startswith per position per level: runs[i][p]
+    is the most consecutive copies of s_i matching the prefix at p."""
+    prefix = characteristic_prefix(d, n).raw
+    runs = []
+    for q, w in zip(qs, standard_words(d, len(qs) - 1)[1:]):
+        run = [0] * (n + 1)
+        for p in range(n - q, -1, -1):
+            if prefix.startswith(w.raw, p):
+                run[p] = run[p + q] + 1
+        runs.append(run)
+    return runs
+
+
+class TestValidDigitDag:
+    @pytest.mark.parametrize(
+        "text, sizes",
+        [
+            ("fib", (0, 1, 2, 3, 55, 300)),
+            ("2,(2)", (0, 1, 2, 29, 300)),
+            ("0,2,(1,3)", (0, 1, 2, 40, 300)),
+            ("200,(1)", (0, 1, 2, 200, 201, 202, 603)),
+            ("1,2,3", (0, 1, 2, 5, 16, 17)),
+        ],
+    )
+    def test_runs_match_startswith(self, text, sizes):
+        d = DirectiveSequence.parse(text)
+        for n in sizes:
+            dag = _ValidDigitDag(d, n)
+            assert dag.runs == startswith_runs(d, n, dag.qs)

@@ -559,13 +559,16 @@ class TestBatch:
         assert sum(r["fallback_used"] for r in records) == 7
 
     def test_run_table_verdicts_match_is_valid(self, monkeypatch):
-        # every mirror the batch checks, read off the run table
+        # every mirror the batch checks, read off the run table from the
+        # pivot down: the digits above it are the canonical ones of pos
         seen = []
         table_valid = _ValidDigitDag.valid
 
-        def spy(dag, digits):
-            verdict = table_valid(dag, digits)
-            seen.append((tuple(digits), verdict))
+        def spy(dag, digits, pos=0):
+            verdict = table_valid(dag, digits, pos)
+            upper = encode(pos, d).digits
+            assert not any(upper[: len(digits)])
+            seen.append(((*digits, *upper[len(digits) :]), verdict))
             return verdict
 
         monkeypatch.setattr(_ValidDigitDag, "valid", spy)
@@ -576,6 +579,43 @@ class TestBatch:
             assert len(seen) >= len(records)
             for digits, verdict in seen:
                 assert verdict == is_valid(OstrowskiRep(d, digits))
+
+    def test_bad_canonical_vector_fails_every_record(self, monkeypatch):
+        # a run table that refuses x = encode(p1) at its lowest nonzero
+        # digit i: mirrors pivoting above i keep x's digits only above
+        # their pivot, so only the check of x itself sees the fault
+        d, pmax, p1 = FIB, 40, 12
+        clean = [r for r in occurrence_witnesses(d, pmax) if r["p1"] == p1]
+        x = encode(p1, d).digits
+        i = next(i for i, k in enumerate(x) if k)
+        pos = p1 - x[i] * d.q(i)
+        build = _ValidDigitDag.__init__
+
+        def corrupt(dag, d, n):
+            build(dag, d, n)
+            dag.runs[i][pos] = x[i] - 1
+
+        monkeypatch.setattr(_ValidDigitDag, "__init__", corrupt)
+        dag = _ValidDigitDag(d, pmax)
+        assert not dag.valid(x)
+        # without that check, some mirror would pass on this table
+        assert any(
+            r["m"] > i and dag.valid(
+                OstrowskiRep.parse(r["rep_p2"], d).digits[: r["m"] + 1],
+                p1 - sum(k * d.q(j) for j, k in enumerate(x[: r["m"] + 1])),
+            )
+            for r in clean
+        )
+        records = list(occurrence_witnesses(d, pmax))
+        mine = [r for r in records if r["p1"] == p1]
+        assert len(mine) == len(clean)
+        assert mine == [
+            {"p1": p1, "p2": r["p2"], "status": "FAIL"} for r in mine
+        ]
+        for r in records:
+            if "status" not in r:
+                for key in ("rep_p1", "rep_p2"):
+                    assert dag.valid(OstrowskiRep.parse(r[key], d).digits)
 
     @pytest.mark.parametrize(
         "text", ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"]
