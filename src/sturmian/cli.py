@@ -365,25 +365,6 @@ def _cmd_pal_starting_at(args) -> int:
     return 0
 
 
-# One template per format and record kind, filled by str.format with
-# the tuple (p1, p2, rep_p1, m, y_m, rep_p2, fallback_used) of
-# palindromes._witness_tuples: a witness, by fallback_used, and a FAIL.
-# The json object is what json.dumps(record, sort_keys=True) writes; the
-# renderings hold only digits and dots, so no string needs escaping.
-_TPR_OBJECT = ('{{"fallback_used": FLAG, "m": {3}, "p1": {0}, "p2": {1}, '
-               '"rep_p1": "{2}", "rep_p2": "{5}", "y_m": {4}}}')
-_TPR_FAIL = '{{"p1": {0}, "p2": {1}, "status": "FAIL"}}'
-_TPR_CSV = "{0},{1},{2},{3},{4},{5},FLAG,ok\n"
-_TPR_TEMPLATES = {
-    fmt: (tuple(ok.replace("FLAG", flag) for flag in ("false", "true")), fail)
-    for fmt, ok, fail in (
-        ("text", _TPR_OBJECT + "\n", _TPR_FAIL + "\n"),
-        ("json", _TPR_OBJECT, _TPR_FAIL),
-        ("csv", _TPR_CSV, "{0},{1},,-1,-1,,false,FAIL\n"),
-    )
-}
-
-
 def _cmd_verify_tpr(args) -> int:
     d = _directive(args.d)
     cap = _resolve_cap(args.cap, DEFAULT_ENUM_CAP)
@@ -392,24 +373,34 @@ def _cmd_verify_tpr(args) -> int:
         raise CapExceededError(f"--pmax is capped at {cap}, got {pmax}")
     records = _witness_tuples(d, pmax)  # refuses before any output
     fmt = args.format
-    ok, fail = _TPR_TEMPLATES[fmt]
+    as_csv = fmt == "csv"
     # text and csv write their lines 4096 at a time; json, whose sorted
     # keys put the counts before the records, keeps them all
     stream = fmt != "json"
-    if fmt == "csv":
+    if as_csv:
         print("p1,p2,rep_p1,m,y_m,rep_p2,fallback_used,status")
     lines = []
     occurrences = fallbacks = failures = 0
-    for rec in records:
+    # Each record is one f-string per format; a text line is the json
+    # object, which is what json.dumps(record, sort_keys=True) writes.
+    # The renderings hold only digits and dots, so nothing needs escaping.
+    for p1, p2, rep_p1, m, y, rep_p2, fallback in records:
         occurrences += 1
-        if rec[2] is None:
+        if rep_p1 is None:
             failures += 1
-            lines.append(fail.format(*rec))
+            lines.append(f"{p1},{p2},,-1,-1,,false,FAIL" if as_csv else
+                         f'{{"p1": {p1}, "p2": {p2}, "status": "FAIL"}}')
         else:
-            fallbacks += rec[6]
-            lines.append(ok[rec[6]].format(*rec))
+            fallbacks += fallback
+            flag = "true" if fallback else "false"
+            lines.append(
+                f"{p1},{p2},{rep_p1},{m},{y},{rep_p2},{flag},ok" if as_csv else
+                f'{{"fallback_used": {flag}, "m": {m}, "p1": {p1}, '
+                f'"p2": {p2}, "rep_p1": "{rep_p1}", "rep_p2": "{rep_p2}", '
+                f'"y_m": {y}}}')
         if stream and len(lines) == 4096:
-            sys.stdout.write("".join(lines))
+            sys.stdout.write("\n".join(lines))
+            sys.stdout.write("\n")
             lines.clear()
     passed = failures == 0
     if fmt == "json":
@@ -418,7 +409,9 @@ def _cmd_verify_tpr(args) -> int:
               f'"records": [{", ".join(lines)}], '
               f'"schema": 1, "verify": "tpr"}}')
     else:
-        sys.stdout.write("".join(lines))
+        if lines:
+            sys.stdout.write("\n".join(lines))
+            sys.stdout.write("\n")
         if fmt == "text":
             print(f"occurrences={occurrences} fallbacks={fallbacks} "
                   f"failures={failures}")

@@ -114,8 +114,13 @@ def _render(digits) -> str:
         return "0"
     msb = digits[top - 1 :: -1]
     if max(msb) < 10:
-        return bytes(msb).translate(_DIGIT_CHARS).decode("ascii")
+        return _digit_string(msb)
     return ".".join(map(str, msb))
+
+
+def _digit_string(msb) -> str:
+    """Digits 0..9, in the order given, as one string, zeros kept."""
+    return bytes(msb).translate(_DIGIT_CHARS).decode("ascii")
 
 
 def rep_sort_key(rep: OstrowskiRep):
@@ -241,11 +246,27 @@ class _ValidDigitDag:
         from the node (len(digits) - 1, pos).  With pos 0 that node is
         the root, and for a vector decoding to at most n this is
         is_valid read off the run table.  Trailing zeros are allowed."""
+        top = len(digits) - 1
+        while top >= 0 and not digits[top]:
+            top -= 1
+        if top < 0:
+            return True
+        return top < len(self.runs) and self.valid_below(
+            digits, top, digits[top], pos
+        )
+
+    def valid_below(self, low, top: int, k: int, pos: int) -> bool:
+        """valid((*low[:top], k), pos) for a level top of the table,
+        walked without building that vector: k copies of s_top from the
+        node (top, pos), then low[top - 1], ..., low[0]."""
         runs, qs = self.runs, self.qs
-        for i in range(len(digits) - 1, -1, -1):
-            k = digits[i]
+        if k > runs[top][pos]:
+            return False
+        pos += k * qs[top]
+        for i in range(top - 1, -1, -1):
+            k = low[i]
             if k:
-                if i >= len(runs) or k > runs[i][pos]:
+                if k > runs[i][pos]:
                     return False
                 pos += k * qs[i]
         return True

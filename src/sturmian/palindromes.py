@@ -12,7 +12,7 @@ occurrence_witness checks one occurrence; occurrence_witnesses, the
 batch behind `verify tpr`, yields the same records for every
 occurrence up to a bound from one Manacher pass, with the witness rule
 shared between the two (see _witness) and reading a per-p1 table of
-digits and prefix sums.
+digits, prefix sums and digit strings.
 
 pal_length, pal_length_profile and `verify hard-prefix` share one
 palindromic-length DP, _pal_lengths: one pass that inserts each symbol
@@ -33,6 +33,7 @@ from .ostrowski import (
     DEFAULT_ENUM_CAP,
     _ValidDigitDag,
     OstrowskiRep,
+    _digit_string,
     _greedy_digits,
     _render,
     enumerate_valid_reps,
@@ -74,6 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_PROFILE_CAP = 200_000
+_DIGITS = "0123456789"
 
 
 def is_palindrome(w: BinaryWord) -> bool:
@@ -202,31 +204,27 @@ def _cut_error(p1: int, p2: int, end: int) -> ValueError:
     )
 
 
-def _central_reference(d: DirectiveSequence, length: int):
-    """(m, j) with j >= 1 and |c_{m,j}| = length, or None.
+def _central_levels(d: DirectiveSequence, bound: int) -> dict[int, int]:
+    """{|c_{m,j}|: m} over the central words c_{m,j} with j >= 1 shorter
+    than bound.
 
     Per level m the lengths (j+1) q_m + q_{m-1} - 2 for 1 <= j <= d_m
-    fill an arithmetic progression; successive levels are disjoint, so
-    at most one (m, j) exists.
+    fill an arithmetic progression of step q_m, which ends below the
+    next level's first length 2 q_{m+1} + q_m - 2, so each length has at
+    most one (m, j).  Level m adds fewer than bound / q_m lengths, so the
+    table has O(bound) entries however large a digit is.
     """
-    m = 0
-    while True:
+    levels: dict[int, int] = {}
+    for m in range(_top_level(d, bound) + 1):
         try:
-            q_next = d.q(m + 1)
-        except IndexError:
-            return None
+            top = d.digit(m)
+        except IndexError:  # past the end of a finite word
+            break
         q_m, q_prev = d.q(m), d.q(m - 1)
-        lo = 2 * q_m + q_prev - 2
-        hi = q_next + q_m - 2
-        if length < lo:
-            return None
-        if length <= hi:
-            j, rem = divmod(length + 2 - q_prev, q_m)
-            j -= 1
-            if rem == 0 and 1 <= j <= d.digit(m):
-                return (m, j)
-            return None
-        m += 1
+        stop = min((top + 1) * q_m + q_prev - 1, bound)
+        for length in range(2 * q_m + q_prev - 2, stop, q_m):
+            levels[length] = m
+    return levels
 
 
 @dataclass(frozen=True)
@@ -258,15 +256,30 @@ class OccurrenceWitness:
 
 
 class _DigitTable(NamedTuple):
-    """What the witness rule reads of p1, built once per p1: its
-    canonical digits xs (least significant first), the prefix sums
-    sums[p] = sum_{i<p} x_i q_i (p1 from len(xs) on), the complement
-    digits comp[i] = d_i - x_i, and xs rendered."""
+    """What the witness rule and the batch read of p1, built once per
+    p1: its canonical digits xs (least significant first), the prefix
+    sums sums[p] = sum_{i<p} x_i q_i (p1 from len(xs) on), the
+    complement digits comp[i] = d_i - x_i, xs rendered, and x's top
+    level top = len(xs) - 1.
+
+    The rest is what a mirror's rendering is cut from.  wide_x is the
+    level of x's highest digit of 10 or more (-1 if none is) and high
+    x's digits above it; wide_c is the level of the lowest complement
+    digit of 10 or more (len(comp) if none is) and low the complement
+    digits below it; both strings are most significant first.  So at a
+    pivot p with wide_x <= p <= wide_c and y < 10, the mirror renders as
+    high[:top - p], then y, then low[wide_c - p:] (see _witness_stream).
+    """
 
     xs: tuple[int, ...]
     sums: list[int]
     comp: list[int]
     rendered: str
+    top: int
+    high: str
+    low: str
+    wide_x: int
+    wide_c: int
 
 
 def _digit_table(p1: int, qs, ds) -> _DigitTable:
@@ -275,10 +288,19 @@ def _digit_table(p1: int, qs, ds) -> _DigitTable:
     xs = tuple(_greedy_digits(p1, qs))
     sums = _prefix_sums(xs, qs)
     sums += [p1] * (len(qs) + 1 - len(sums))
-    comp = list(ds)
-    for i, k in enumerate(xs[: len(comp)]):
-        comp[i] -= k
-    return _DigitTable(xs, sums, comp, _render(xs))
+    comp = [d - k for d, k in zip(ds, xs)]
+    comp += ds[len(comp) :]
+    top = wide_x = len(xs) - 1
+    while wide_x >= 0 and xs[wide_x] < 10:
+        wide_x -= 1
+    wide_c = 0
+    while wide_c < len(comp) and comp[wide_c] < 10:
+        wide_c += 1
+    high = _digit_string(xs[wide_x + 1 :][::-1])
+    low = _digit_string(comp[:wide_c][::-1])
+    rendered = (high or "0") if wide_x < 0 else _render(xs)
+    return _DigitTable(xs, sums, comp, rendered, top, high, low, wide_x,
+                       wide_c)
 
 
 def _prefix_sums(digits, qs) -> list[int]:
@@ -290,31 +312,29 @@ def _prefix_sums(digits, qs) -> list[int]:
 
 
 def _witness(p1, p2, table: _DigitTable, m, qs, dsums, valid):
-    """The witness rule: (pivot, y, digits) for the occurrence
-    (p1..p2], where table is p1's _DigitTable, m the level of the
-    maximal extension's central word (None if it is none), qs holds q_i
-    for every level read, and dsums[p] = D_p = sum_{i<p} d_i q_i.
-    Pivot m is tried first, then m - 2 (see occurrence_witness).
+    """The witness rule: (pivot, y) for the occurrence (p1..p2], where
+    table is p1's _DigitTable, m the level of the maximal extension's
+    central word (None if it is none), qs holds q_i for every level
+    read, and dsums[p] = D_p = sum_{i<p} d_i q_i.  Pivot m is tried
+    first, then m - 2 (see occurrence_witness).  The mirror's digits
+    are (*table.comp[:pivot], y, *table.xs[pivot + 1:]); each caller
+    builds or renders them itself.
 
     The mirror at pivot p keeps x_i above p and takes d_i - x_i below
     it, so it decodes to (D_p - X_p) + y q_p + (p1 - X_{p+1}), with
-    X_p = table.sums[p]: y costs one division.  valid(low, pos) checks
-    the mirror's digits at and below p, low (least significant first),
-    placed from position pos = p1 - X_{p+1}, where x's own digits above
-    p end."""
+    X_p = table.sums[p]: y costs one division.  valid(comp, p, y, pos)
+    checks the mirror's digits at and below p, y then comp[p - 1], ...,
+    comp[0], placed from position pos = p1 - X_{p+1}, where x's own
+    digits above p end."""
     if m is not None:
-        xs, sums, comp, _ = table
+        sums = table.sums
         for pivot in (m, m - 2):
             if pivot < 0:
                 break
             above = p1 - sums[pivot + 1]
             y, rem = divmod(p2 - dsums[pivot] + sums[pivot] - above, qs[pivot])
-            if rem == 0 and y >= 0:
-                low = comp[:pivot]
-                low.append(y)
-                if valid(low, above):
-                    low += xs[pivot + 1 :]
-                    return pivot, y, low
+            if rem == 0 and y >= 0 and valid(table.comp, pivot, y, above):
+                return pivot, y
     raise TheoremViolationError(
         f"no witness exists for palindromic occurrence ({p1}..{p2}]"
     )
@@ -323,7 +343,7 @@ def _witness(p1, p2, table: _DigitTable, m, qs, dsums, valid):
 def occurrence_witness(occ: PalindromeOccurrence) -> OccurrenceWitness:
     """Witness for a palindromic occurrence (p1..p2]: the canonical
     vector x = encode(p1), mirrored at pivot m or m - 2, where c_{m,j}
-    is the occurrence's maximal extension (see _central_reference).
+    is the occurrence's maximal extension (see _central_levels).
 
     At pivot p the mirror keeps x_i above p and takes d_i - x_i below
     it, so decode(mirror) = p2 forces
@@ -353,20 +373,23 @@ def occurrence_witness(occ: PalindromeOccurrence) -> OccurrenceWitness:
         raise ValueError("occurrence is not palindromic")
     d = occ.d
     ext = maximal_palindromic_extension(occ)
-    ref = _central_reference(d, ext.p2 - ext.p1)
-    m = None if ref is None else ref[0]
+    length = ext.p2 - ext.p1
+    m = _central_levels(d, length + 1).get(length)
     qs = [d.q(i) for i in range(max(_top_level(d, occ.p1), m or 0) + 1)]
     ds = [d.digit(i) for i in range(m or 0)]
     table = _digit_table(occ.p1, qs, ds)
 
-    def valid(low, pos):
-        # the whole mirror, x's digits above the pivot included
-        return is_valid(OstrowskiRep(d, (*low, *table.xs[len(low) :])))
+    def mirror(comp, pivot, y):
+        return OstrowskiRep(d, (*comp[:pivot], y, *table.xs[pivot + 1 :]))
 
-    pivot, y, digits = _witness(
+    def valid(comp, pivot, y, pos):
+        # the whole mirror, x's digits above the pivot included
+        return is_valid(mirror(comp, pivot, y))
+
+    pivot, y = _witness(
         occ.p1, occ.p2, table, m, qs, _prefix_sums(ds, qs), valid
     )
-    x, rep_p2 = OstrowskiRep(d, table.xs), OstrowskiRep(d, tuple(digits))
+    x, rep_p2 = OstrowskiRep(d, table.xs), mirror(table.comp, pivot, y)
     return OccurrenceWitness(occ.p1, occ.p2, x, pivot, y, rep_p2, pivot != m)
 
 
@@ -395,19 +418,24 @@ def _witness_tuples(d: DirectiveSequence, pmax: int):
     occurrences there are the (p1..p2] with p1 at least the longest
     one's start; and since that prefix holds p1 + p2 symbols, the
     longest one is the maximal extension (the left edge stops it
-    first).  So the work is O(pmax + occurrences): the central word of
-    each centre is looked up once, and what the witness rule reads of
-    p1 (its _DigitTable, rendering included) is built once per p1.
+    first).  So the work is O(pmax + occurrences): the lengths of the
+    central words below 2 pmax are tabled once (_central_levels), each
+    centre reads its level there once, and what the witness rule reads
+    of p1 (its _DigitTable, renderings included) is built once per p1.
 
     Validity is read off the run table of the valid-digit DAG.  The
     canonical vector x of p1 is walked once, when its table is built;
     a mirror keeps x's digits above its pivot, so it is walked only
-    from its pivot down.  Every record of a p1 whose x fails that walk
-    is a FAIL.  A record then costs one division for y, that walk, and
-    one rendering of the mirror; no OstrowskiRep or OccurrenceWitness
-    is built.  On a finite directive at most the whole word is read;
-    ValueError, before the iterator is returned, if an occurrence's
-    maximal extension reaches its end with p1 > 0.
+    from its pivot down, straight from the table's complement digits.
+    Every record of a p1 whose x fails that walk is a FAIL.  A record
+    then costs one division for y, that walk, and the join of three
+    strings: x's digits above the pivot, y and the complement digits
+    below it, cut from the table.  Only a mirror with a digit of 10 or
+    more is rendered digit by digit.  No digit list, OstrowskiRep or
+    OccurrenceWitness is built per record.  On a finite directive at
+    most the whole word is read; ValueError, before the iterator is
+    returned, if an occurrence's maximal extension reaches its end with
+    p1 > 0.
     """
     if pmax < 1:
         raise ValueError("the occurrence bound must be positive")
@@ -429,7 +457,8 @@ def _witness_tuples(d: DirectiveSequence, pmax: int):
         if i + k > right:
             mid, right = i, i + k
     starts: list[list[int]] = [[] for _ in range(pmax + 1)]  # by p2
-    level: dict[int, int | None] = {}  # m of each centre's extension
+    levels = _central_levels(d, 2 * pmax)  # rad[c] < 2 pmax
+    level: list[int | None] = [None] * (2 * pmax)  # m by centre
     cut = None  # the first (p2, p1) whose extension the word's end cuts
     for c in range(1, 2 * pmax):
         lo = (c - rad[c]) // 2
@@ -440,8 +469,7 @@ def _witness_tuples(d: DirectiveSequence, pmax: int):
             here = (c - last, last)  # its innermost occurrence
             cut = here if cut is None else min(cut, here)
             continue
-        ref = _central_reference(d, rad[c])
-        level[c] = None if ref is None else ref[0]
+        level[c] = levels.get(rad[c])
         for p1 in range(first, last + 1):
             starts[c - p1].append(p1)
     if cut is not None:
@@ -457,7 +485,7 @@ def _witness_tuples(d: DirectiveSequence, pmax: int):
         table = _digit_table(p1, qs, ds)
         tables.append(table if dag.valid(table.xs) else None)
     return _witness_stream(starts, level, tables, qs, _prefix_sums(ds, qs),
-                           dag.valid)
+                           dag.valid_below)
 
 
 def _witness_stream(starts, level, tables, qs, dsums, valid):
@@ -473,10 +501,18 @@ def _witness_stream(starts, level, tables, qs, dsums, valid):
                     pass
             if witness is None:
                 yield p1, p2, None, None, None, None, False
+                continue
+            pivot, y = witness
+            xs, _, comp, rendered, top, high, low, wide_x, wide_c = table
+            if y < 10 and wide_x <= pivot <= wide_c:
+                below = low[wide_c - pivot :]
+                if pivot < top:  # led by x's top digit, which is not 0
+                    rep = high[: top - pivot] + _DIGITS[y] + below
+                else:
+                    rep = (_DIGITS[y] + below).lstrip("0") or "0"
             else:
-                pivot, y, digits = witness
-                yield (p1, p2, table.rendered, pivot, y, _render(digits),
-                       pivot != m)
+                rep = _render((*comp[:pivot], y, *xs[pivot + 1 :]))
+            yield p1, p2, rendered, pivot, y, rep, pivot != m
 
 
 def z_vector(rep: OstrowskiRep) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from sturmian.ostrowski import (
 from sturmian.palindromes import (
     PalindromeOccurrence,
     PalindromicTree,
+    _central_levels,
     _pal_lengths,
     central_word,
     construct_hard_prefix,
@@ -276,6 +277,34 @@ class TestRichness:
 
 
 class TestCentralWords:
+    @pytest.mark.parametrize(
+        "text", ["fib", "2,(2)", "200,(1)", "0,2,(1,3)", "1,2,3"]
+    )
+    def test_level_table_matches_central_word_lengths(self, text):
+        # the m of the (m, j) with 1 <= j <= d_m and |c_{m,j}| = n, read
+        # off central_word itself, for every n <= 2 pmax; the finite
+        # 1,2,3 ends at q_3 = 17, so most of its lengths have no level
+        d, pmax = DirectiveSequence.parse(text), 300
+        want = {}
+        for m in range(2 * pmax):
+            try:
+                top = d.digit(m)
+            except IndexError:
+                break
+            if len(central_word(d, m)) > 2 * pmax:
+                break
+            for j in range(1, top + 1):
+                n = len(central_word(d, m, j))
+                if n > 2 * pmax:
+                    break
+                assert n not in want
+                want[n] = m
+        levels = _central_levels(d, 2 * pmax + 1)
+        assert all(n <= 2 * pmax for n in levels)
+        for n in range(1, 2 * pmax + 1):
+            assert levels.get(n) == want.get(n), n
+        assert len(set(want.values())) > 1
+
     def test_fibonacci_level_four(self):
         assert central_word(FIB, 4).to_string("ab") == "abaababaaba"
 
@@ -543,7 +572,8 @@ def check_batch(d, pmax):
 
 class TestBatch:
     @pytest.mark.parametrize(
-        "text", ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"]
+        "text", ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)",
+                 "12,(1,11)", "1,(10)", "200,(1)"]
     )
     def test_matches_single_witness(self, text):
         check_batch(DirectiveSequence.parse(text), 150)
@@ -559,19 +589,21 @@ class TestBatch:
         assert sum(r["fallback_used"] for r in records) == 7
 
     def test_run_table_verdicts_match_is_valid(self, monkeypatch):
-        # every mirror the batch checks, read off the run table from the
-        # pivot down: the digits above it are the canonical ones of pos
+        # every vector the batch checks (each canonical x, through valid,
+        # and each mirror), read off the run table from its top digit k
+        # at level top down: the digits above it are the canonical ones
+        # of pos
         seen = []
-        table_valid = _ValidDigitDag.valid
+        table_valid = _ValidDigitDag.valid_below
 
-        def spy(dag, digits, pos=0):
-            verdict = table_valid(dag, digits, pos)
+        def spy(dag, low, top, k, pos):
+            verdict = table_valid(dag, low, top, k, pos)
             upper = encode(pos, d).digits
-            assert not any(upper[: len(digits)])
-            seen.append(((*digits, *upper[len(digits) :]), verdict))
+            assert not any(upper[: top + 1])
+            seen.append(((*low[:top], k, *upper[top + 1 :]), verdict))
             return verdict
 
-        monkeypatch.setattr(_ValidDigitDag, "valid", spy)
+        monkeypatch.setattr(_ValidDigitDag, "valid_below", spy)
         for text in ("fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"):
             d = DirectiveSequence.parse(text)
             seen.clear()
