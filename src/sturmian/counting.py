@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import accumulate
 
+from ._record import _Record, _setfield
 from .errors import CapExceededError
 from .exactnum import ExactReal, _floor_quadratic, _radical_sign
 from .words import BinaryWord, _balanced_counts, _require_unit, _rotation_raw
@@ -125,17 +125,19 @@ def rotation_face_count(n: int) -> int:
     return 2 + cubic + 2 * sum((n - q + 1) * phi[q] for q in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class ArrangementLine:
+class ArrangementLine(_Record):
     """The line coeff * alpha + rho = level in the (alpha, rho) square.
 
     kind is 'integer' (level is a whole number), 'shifted' (level is a
     whole number minus sigma), or 'boundary' (rho = 0 or rho = 1).
     """
 
-    coeff: int
-    level: ExactReal
-    kind: str
+    _fields = ("coeff", "level", "kind")
+
+    def __init__(self, coeff: int, level: ExactReal, kind: str):
+        _setfield(self, "coeff", coeff)
+        _setfield(self, "level", level)
+        _setfield(self, "kind", kind)
 
 
 def _families(order: int) -> dict[tuple[int, int], tuple[int, int]]:
@@ -215,13 +217,15 @@ def _floor64(v: int, w: int, den: int, d: int) -> int:
     return _floor_quadratic(v << 64, w << 64, den, d)
 
 
-@dataclass(frozen=True)
-class FaceSample:
+class FaceSample(_Record):
     """One interior point of an arrangement face and its rotation word."""
 
-    alpha: ExactReal
-    rho: ExactReal
-    word: BinaryWord
+    _fields = ("alpha", "rho", "word")
+
+    def __init__(self, alpha: ExactReal, rho: ExactReal, word: BinaryWord):
+        _setfield(self, "alpha", alpha)
+        _setfield(self, "rho", rho)
+        _setfield(self, "word", word)
 
 
 def _strips(sigma: ExactReal, length: int, cap: int):

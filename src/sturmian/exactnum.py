@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+
+from ._record import _Record, _setfield
 
 __all__ = [
     "ExactReal",
@@ -322,8 +323,7 @@ def compare(x, y) -> int:
     return _sign2(x.a * y.c - y.a * x.c, x.b * y.c, x.d, -y.b * x.c, y.d)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(_Record):
     """[a0; a1, a2, ...] with an optional purely periodic tail.
 
     quotients holds a0 and the explicit partial quotients; periodic, when
@@ -332,20 +332,21 @@ class ContinuedFraction:
     ([..., a, 1] is always written [..., a+1]).
     """
 
-    quotients: tuple[int, ...]
-    periodic: tuple[int, ...] = ()
+    _fields = ("quotients", "periodic")
 
-    def __post_init__(self):
-        object.__setattr__(self, "quotients", tuple(int(v) for v in self.quotients))
-        object.__setattr__(self, "periodic", tuple(int(v) for v in self.periodic))
-        if not self.quotients:
+    def __init__(self, quotients: tuple[int, ...], periodic: tuple[int, ...] = ()):
+        quotients = tuple(int(v) for v in quotients)
+        periodic = tuple(int(v) for v in periodic)
+        if not quotients:
             raise ValueError("a continued fraction needs at least a0")
-        if self.quotients[0] < 0:
+        if quotients[0] < 0:
             raise ValueError("a0 must be nonnegative")
-        if any(v < 1 for v in self.quotients[1:]) or any(v < 1 for v in self.periodic):
+        if any(v < 1 for v in quotients[1:]) or any(v < 1 for v in periodic):
             raise ValueError("partial quotients must be positive")
-        if not self.periodic and len(self.quotients) > 1 and self.quotients[-1] < 2:
+        if not periodic and len(quotients) > 1 and quotients[-1] < 2:
             raise ValueError("canonical finite expansions end with a quotient >= 2")
+        _setfield(self, "quotients", quotients)
+        _setfield(self, "periodic", periodic)
 
     def value(self) -> ExactReal:
         return cf_value(self)
@@ -423,15 +424,16 @@ def cf_expand(x: ExactReal, count: int) -> list[int]:
     return out
 
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
-_QUAD_RE = re.compile(
-    r"\(([+-]?\d+)([+-])(?:(\d+)\*)?sqrt\((\d+)\)\)(?:/(\d+))?"
-)
-_ROOT_RE = re.compile(r"([+-]?\d+\*)?sqrt\((\d+)\)(?:/(\d+))?")
+# an optional denominator, which has a nonzero digit
+_DEN = r"(?:/(\d*[1-9]\d*))?"
+_RATIONAL_RE = re.compile(r"([+-]?\d+)" + _DEN)
+_QUAD_RE = re.compile(r"\(([+-]?\d+)([+-])(?:(\d+)\*)?sqrt\((\d+)\)\)" + _DEN)
+_ROOT_RE = re.compile(r"([+-]?\d+\*)?sqrt\((\d+)\)" + _DEN)
 
 
 def parse_real(text: str) -> ExactReal:
-    """Parse 'p', 'p/q', '(a+b*sqrt(d))/c' or 'sqrt(d)' forms."""
+    """Parse 'p', 'p/q', '(a+b*sqrt(d))/c' or 'sqrt(d)' forms; a zero
+    denominator is malformed text, a ValueError."""
     s = text.strip().replace(" ", "")
     m = _RATIONAL_RE.fullmatch(s)
     if m:

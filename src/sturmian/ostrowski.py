@@ -18,8 +18,7 @@ converses fail, which is why validity gets an exhaustive enumerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import _Record, _setfield
 from .errors import CapExceededError
 from .words import (
     BinaryWord,
@@ -55,8 +54,7 @@ def standard_lengths(d: DirectiveSequence, n: int) -> list[int]:
     return [d.q(i) for i in range(-1, n + 1)]
 
 
-@dataclass(frozen=True)
-class OstrowskiRep:
+class OstrowskiRep(_Record):
     """A digit vector over a directive sequence, least significant first.
 
     Trailing zero digits (leading zeros in the rendered form) are
@@ -64,16 +62,16 @@ class OstrowskiRep:
     compare equal.
     """
 
-    d: DirectiveSequence
-    digits: tuple[int, ...]
+    _fields = ("d", "digits")
 
-    def __post_init__(self):
-        digs = tuple(map(int, self.digits))
+    def __init__(self, d: DirectiveSequence, digits: tuple[int, ...]):
+        digs = tuple(map(int, digits))
         if digs and min(digs) < 0:
             raise ValueError("digits must be nonnegative")
         while digs and digs[-1] == 0:
             digs = digs[:-1]
-        object.__setattr__(self, "digits", digs)
+        _setfield(self, "d", d)
+        _setfield(self, "digits", digs)
 
     def digit(self, i: int) -> int:
         if i < 0:

@@ -25,9 +25,9 @@ a 2-vCPU VM with Python 3.11.7).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._record import _Record, _setfield
 from .errors import CapExceededError, TheoremViolationError
 from .ostrowski import (
     DEFAULT_ENUM_CAP,
@@ -147,18 +147,18 @@ def central_word(d: DirectiveSequence, n: int, j: int = 0) -> BinaryWord:
     return BinaryWord._from_raw(s_n * j + (s_n + s_prev)[:-2])
 
 
-@dataclass(frozen=True)
-class PalindromeOccurrence:
+class PalindromeOccurrence(_Record):
     """A factor occurrence (p1..p2] of the characteristic word of d,
     with 1-based content: the factor is symbols p1+1 through p2."""
 
-    d: DirectiveSequence
-    p1: int
-    p2: int
+    _fields = ("d", "p1", "p2")
 
-    def __post_init__(self):
-        if not 0 <= self.p1 <= self.p2:
+    def __init__(self, d: DirectiveSequence, p1: int, p2: int):
+        if not 0 <= p1 <= p2:
             raise ValueError("positions must satisfy 0 <= p1 <= p2")
+        _setfield(self, "d", d)
+        _setfield(self, "p1", p1)
+        _setfield(self, "p2", p2)
 
     def factor(self) -> BinaryWord:
         return characteristic_prefix(self.d, self.p2)[self.p1 : self.p2]
@@ -227,21 +227,26 @@ def _central_levels(d: DirectiveSequence, bound: int) -> dict[int, int]:
     return levels
 
 
-@dataclass(frozen=True)
-class OccurrenceWitness:
+class OccurrenceWitness(_Record):
     """Digit-level witness for a palindromic occurrence (p1..p2]:
     the canonical vector of p1, whose mirrored completion (complement
     digits below the pivot m, pivot digit y_m, unchanged digits above)
     is a valid vector for p2.  fallback_used marks a pivot two levels
     below the maximal extension's (see occurrence_witness)."""
 
-    p1: int
-    p2: int
-    rep_p1: OstrowskiRep
-    m: int
-    y_m: int
-    rep_p2: OstrowskiRep
-    fallback_used: bool
+    _fields = ("p1", "p2", "rep_p1", "m", "y_m", "rep_p2", "fallback_used")
+
+    def __init__(
+        self, p1: int, p2: int, rep_p1: OstrowskiRep, m: int, y_m: int,
+        rep_p2: OstrowskiRep, fallback_used: bool,
+    ):
+        _setfield(self, "p1", p1)
+        _setfield(self, "p2", p2)
+        _setfield(self, "rep_p1", rep_p1)
+        _setfield(self, "m", m)
+        _setfield(self, "y_m", y_m)
+        _setfield(self, "rep_p2", rep_p2)
+        _setfield(self, "fallback_used", fallback_used)
 
     def to_record(self) -> dict:
         return {
@@ -530,15 +535,19 @@ def z_vector(rep: OstrowskiRep) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ZdGapWitness:
+class ZdGapWitness(_Record):
     """Two valid vectors of the same integer whose z-distances differ
     by the reported maximum at the given digit."""
 
-    n: int
-    digit_index: int
-    rep_a: OstrowskiRep
-    rep_b: OstrowskiRep
+    _fields = ("n", "digit_index", "rep_a", "rep_b")
+
+    def __init__(
+        self, n: int, digit_index: int, rep_a: OstrowskiRep, rep_b: OstrowskiRep
+    ):
+        _setfield(self, "n", n)
+        _setfield(self, "digit_index", digit_index)
+        _setfield(self, "rep_a", rep_a)
+        _setfield(self, "rep_b", rep_b)
 
     def to_record(self) -> dict:
         return {

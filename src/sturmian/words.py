@@ -18,8 +18,8 @@ rendered over {0,1} or {a,b} with the fixed letter coding 0 <-> a,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import _Record, _setfield
 from .errors import CapExceededError
 from .exactnum import (
     ContinuedFraction,
@@ -164,8 +164,7 @@ class BinaryWord:
         return f"BinaryWord({self.to_string()!r})"
 
 
-@dataclass(frozen=True)
-class DirectiveSequence:
+class DirectiveSequence(_Record):
     """Digit sequence d_0, d_1, ... driving the standard-word recursion.
 
     The explicit digits may be followed by a periodic tail that repeats
@@ -177,18 +176,19 @@ class DirectiveSequence:
     only the digits.
     """
 
-    explicit: tuple[int, ...]
-    periodic: tuple[int, ...] = ()
+    _fields = ("explicit", "periodic")
 
-    def __post_init__(self):
-        object.__setattr__(self, "explicit", tuple(int(v) for v in self.explicit))
-        object.__setattr__(self, "periodic", tuple(int(v) for v in self.periodic))
-        if not self.explicit and not self.periodic:
+    def __init__(self, explicit: tuple[int, ...], periodic: tuple[int, ...] = ()):
+        explicit = tuple(int(v) for v in explicit)
+        periodic = tuple(int(v) for v in periodic)
+        if not explicit and not periodic:
             raise ValueError("a directive sequence needs at least one digit")
-        if self.explicit and self.explicit[0] < 0:
+        if explicit and explicit[0] < 0:
             raise ValueError("d_0 must be nonnegative")
-        if any(v < 1 for v in self.explicit[1:]) or any(v < 1 for v in self.periodic):
+        if any(v < 1 for v in explicit[1:]) or any(v < 1 for v in periodic):
             raise ValueError("digits after d_0 must be positive")
+        _setfield(self, "explicit", explicit)
+        _setfield(self, "periodic", periodic)
         self.__dict__["_qs"] = [1, 1]  # q_{-1}, q_0, ...
         self.__dict__["_prefix"] = b""
 
@@ -312,19 +312,19 @@ def _require_unit(value: ExactReal, name: str, strict_low: bool) -> None:
         raise ValueError(f"{name} must lie in {bracket}, got {value}")
 
 
-@dataclass(frozen=True)
-class MechanicalParams:
+class MechanicalParams(_Record):
     """Slope, intercept, and flavor (lower or upper) of a mechanical word."""
 
-    sigma: ExactReal
-    rho: ExactReal
-    flavor: str = "lower"
+    _fields = ("sigma", "rho", "flavor")
 
-    def __post_init__(self):
-        if self.flavor not in ("lower", "upper"):
+    def __init__(self, sigma: ExactReal, rho: ExactReal, flavor: str = "lower"):
+        if flavor not in ("lower", "upper"):
             raise ValueError("flavor must be 'lower' or 'upper'")
-        _require_unit(self.sigma, "sigma", strict_low=True)
-        _require_unit(self.rho, "rho", strict_low=False)
+        _require_unit(sigma, "sigma", strict_low=True)
+        _require_unit(rho, "rho", strict_low=False)
+        _setfield(self, "sigma", sigma)
+        _setfield(self, "rho", rho)
+        _setfield(self, "flavor", flavor)
 
 
 def _ratio_floor(u0: int, v0: int, u1: int, v1: int, d: int) -> int:

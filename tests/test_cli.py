@@ -114,6 +114,19 @@ class TestCount:
         assert "sigma" in r.stderr
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["generate", "mechanical", "--sigma", "1/0", "--rho", "0"], "--sigma", "1/0"),
+    (["generate", "rotation", "--alpha", "1/3", "--rho", "0/0", "--sigma", "1/2"],
+     "--rho", "0/0"),
+    (["count", "rotation-words", "--sigma", "(1+sqrt(2))/0"], "--sigma", "(1+sqrt(2))/0"),
+])
+def test_zero_denominator_is_one_error_line(argv, flag, value):
+    r = run_cli(*argv, "--length", "5")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"error: {flag}: cannot parse real value {value!r}\n"
+    assert "Traceback" not in r.stderr
+
+
 class TestOstrowski:
     def test_encode(self):
         r = run_cli("ostrowski", "encode", "--d", "fib", "--n", "14")

@@ -337,6 +337,21 @@ def test_parse_real_forms():
         parse_real("sqrt(-2)")
 
 
+@pytest.mark.parametrize("text", [
+    "1/0", "0/0", "-3/00", "(1+sqrt(2))/0", "(3-2*sqrt(5))/000", "sqrt(2)/0",
+    "2*sqrt(3)/0",
+])
+def test_parse_real_refuses_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="bad exact-real string"):
+        parse_real(text)
+
+
+def test_parse_real_keeps_leading_zeros_of_a_denominator():
+    assert parse_real("1/02") == ExactReal.rational(1, 2)
+    assert parse_real("(1+sqrt(2))/010") == ExactReal(1, 1, 10, 2)
+    assert parse_real("sqrt(2)/002") == ExactReal(0, 1, 2, 2)
+
+
 def test_cf_value_periodic():
     # [0; 2, (1)] is (3 - sqrt(5))/2, the Fibonacci slope
     cf = ContinuedFraction((0, 2), (1,))
