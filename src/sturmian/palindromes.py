@@ -16,15 +16,17 @@ digits, prefix sums and digit strings.
 
 pal_length, pal_length_profile and `verify hard-prefix` share one
 palindromic-length DP, _pal_lengths: one pass that inserts each symbol
-into a preallocated eertree and stops its suffix-link walk at a proved
-floor.  pal_length_profile(fib, 200_000), the default cap, takes
-0.25 s and 10**6 symbols 1.36 s (medians of ten fresh-process runs on
-a 2-vCPU VM with Python 3.11.7).
+into a preallocated eertree whose ids and lengths come from one shared
+int pool, and stops its suffix-link walk at two proved bounds.
+pal_length_profile(fib, 200_000), the default cap, takes 0.22 s and
+10**6 symbols 1.24 s, at about 80 bytes per symbol (medians of 10 and
+5 fresh-process runs on a 2-vCPU VM with Python 3.11.7).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from typing import NamedTuple
 
 from ._record import _Record, _setfield
@@ -631,57 +633,104 @@ def _pal_lengths(raw: bytes) -> list[int]:
     has at most n distinct nonempty palindromes and the tree at most
     n + 2 nodes, the roots 0 (length -1) and 1 (length 0) included.
 
-    The walk stops once its minimum reaches dp[i - 1] - 2, because
-    PL(w) <= PL(wa) + 1 for every word w and symbol a, so no suffix can
-    go lower.  Proof: write wa = p1...pk with k = PL(wa).  The
-    palindrome pk ends in a, so pk is a or a u a with u a palindrome,
-    and w = p1...p(k-1) a u needs at most k + 1 palindromes.
+    No int object is made per node.  One pool, ints = [0, 1, ..., n + 1],
+    is built first, and the loop counter k runs through ints[2:]: symbol
+    i (1-based) is read at k = i + 1, and the node it creates gets id k,
+    the pool's own object.  Its length is ints[parent's length + 2], so
+    every id and length in the lists is a pool object, and the DP holds
+    about 80 bytes per symbol (an int object of its own per id and per
+    length would make it about 100).  Positions are counted in k too,
+    so the loop keeps dp[i] at index k = i + 1 and drops the unused
+    entry 0 at the end.
+
+    The walk keeps s, the least dp over the suffixes read so far, with
+    the one-symbol suffix counted from the start, so s <= dp[i - 1].
+    Two bounds stop it:
+
+    - The floor: s cannot go below dp[i - 1] - 2, because PL(w) <=
+      PL(wa) + 1 for every word w and symbol a.  Proof: write wa =
+      p1...pk with k = PL(wa).  The palindrome pk ends in a, so pk is a
+      or a u a with u a palindrome, and w = p1...p(k-1) a u needs at
+      most k + 1 palindromes.
+    - The last position below s: last[v] is the last position so far
+      (counted in k) whose dp is v, so the list is as long as the
+      largest dp value.
+      PL(wa) <= PL(w) + 1 too (append the palindrome a), so dp moves by
+      at most 1 per symbol.  As s <= dp[i - 1], every position after
+      the last one with dp <= s - 1 has dp >= s, and that last position
+      has dp exactly s - 1: it is last[s - 1].  A shorter suffix starts
+      later, so it lowers s only if it starts at or before last[s - 1],
+      and the walk stops at lengths below i - last[s - 1].  At s = 0,
+      where the whole prefix is a palindrome, nothing is lower.
+
+    Both are checked only when the longest palindromic suffix has a
+    next one, that is when its suffix link is not a root; otherwise it
+    is the one-symbol suffix and dp[i] = dp[i - 1] + 1.
     """
     n = len(raw)
-    # a sentinel in front, so the symbol before a suffix always exists
-    word = b"\x02" + raw
+    ints = list(range(n + 2))
+    # word[k - L] is the symbol before the palindromic suffix of length
+    # L of the k - 2 symbols read before step k; before all of them it
+    # is the sentinel word[2], which matches no symbol
+    word = b"\x02\x02\x02" + raw
     length = [0] * (n + 2)
     length[0] = -1
     link = [0] * (n + 2)
     to0 = [0] * (n + 2)
     to1 = [0] * (n + 2)
-    dp = [0] * (n + 1)
-    size = 2
+    dp = [0] * (n + 2)
+    last = [1]  # dp[1] = 0, the empty prefix
+    top = 1  # len(last)
     node = 1
-    for i, symbol in enumerate(raw, 1):
-        while word[i - length[node] - 1] != symbol:
+    for k, symbol in zip(islice(ints, 2, None), raw):
+        while word[k - length[node]] != symbol:
             node = link[node]
         to = to1 if symbol else to0
         found = to[node]
         if not found:
             if node:
                 suffix = link[node]
-                while word[i - length[suffix] - 1] != symbol:
+                while word[k - length[suffix]] != symbol:
                     suffix = link[suffix]
                 suffix = to[suffix]
             else:
                 suffix = 1
-            found = size
-            size += 1
-            length[found] = length[node] + 2
-            link[found] = suffix
-            to[node] = found
+            found = k
+            length[k] = ints[length[node] + 2]
+            link[k] = suffix
+            to[node] = k
         node = found
-        floor = dp[i - 1] - 2
-        short = dp[i - length[node]]
+        prev = dp[k - 1]
+        short = dp[k - length[node]]
+        if short > prev:
+            short = prev
         suffix = link[node]
-        while suffix > 1 and short > floor:
-            prev = dp[i - length[suffix]]
-            if prev < short:
-                short = prev
-            suffix = link[suffix]
-        dp[i] = short + 1
+        if suffix > 1 and short > prev - 2 and short:
+            stop = k - last[short - 1]
+            ell = length[suffix]
+            while ell >= stop:
+                value = dp[k - ell]
+                if value < short:
+                    short = value
+                    if short == prev - 2:
+                        break
+                    stop = k - last[short - 1]
+                suffix = link[suffix]
+                ell = length[suffix]
+        short += 1
+        dp[k] = short
+        if short < top:
+            last[short] = k
+        else:
+            last.append(k)
+            top += 1
+    del dp[0]
     return dp
 
 
 def _check_profile_length(L: int, cap: int) -> None:
     """Refuse a prefix DP over more than cap symbols; it holds about
-    100 bytes per symbol."""
+    80 bytes per symbol."""
     if L > cap:
         raise CapExceededError(f"profile length is capped at {cap}, got {L}")
 
@@ -722,15 +771,13 @@ def construct_hard_prefix(d: DirectiveSequence, Q: int) -> int:
     threshold = 6 * Q + 2
     digit_value = 3 * Q + 1
     need = Q + 1
-    limit = len(d.explicit) + len(d.periodic) * need
+    # each period holds as many large digits as the first, so need
+    # periods are enough when it holds one and none help when it does not
+    periods = need if max(d.periodic, default=0) >= threshold else 0
     total = 0
     found = 0
-    for m in range(limit):
-        try:
-            dm = d.digit(m)
-        except IndexError:
-            break
-        if dm >= threshold:
+    for m in range(len(d.explicit) + len(d.periodic) * periods):
+        if d.digit(m) >= threshold:
             total += d.q(m)
             found += 1
             if found == need:

@@ -1,9 +1,12 @@
 """Palindromic structure: counts, central words, witnesses, lengths."""
 
 import functools
+import inspect
 import json
 import pathlib
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -854,12 +857,91 @@ class TestPalLengthRows:
             rich += distinct_palindromic_factors(BinaryWord(raw))[1]
         assert rich < 50
 
+    def test_sparse_random_words(self):
+        # long runs of 0: long suffix chains and dp values that rise
+        # and fall, so the walk's last-position bound moves both ways
+        rng = random.Random(20261020)
+        for _ in range(150):
+            n = rng.randrange(401)
+            check_pal_lengths(bytes(rng.random() < 0.1 for _ in range(n)))
+
+    def test_linear_growth(self):
+        # PL((001011)^k) grows linearly in k, so the table of last
+        # positions grows every few symbols; the row covers every k <= 500
+        check_pal_lengths(bytes((0, 0, 1, 0, 1, 1)) * 500)
+
     @pytest.mark.parametrize(
-        "text", ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"]
+        "text",
+        ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)", "200,(1)", "1,(50)"],
     )
     def test_characteristic_prefixes(self, text):
+        # the last two have long suffix chains, which the bound cuts
         d = DirectiveSequence.parse(text)
         check_pal_lengths(characteristic_prefix(d, 5000).raw)
+
+    def test_memory_per_symbol(self):
+        # one shared int pool: about 77-81 bytes per symbol on Python
+        # 3.10-3.13, against 97-105 with an int of its own per node id
+        # and per length
+        raw = characteristic_prefix(FIB, 50_000).raw
+        _pal_lengths(raw[:100])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _pal_lengths(raw)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 90 * len(raw)
+
+
+def walk_steps(raw):
+    """The suffixes the _pal_lengths walk reads after the longest one,
+    counted by tracing the one line that reads such a suffix's dp."""
+    lines, first = inspect.getsourcelines(_pal_lengths)
+    (target,) = [
+        first + j
+        for j, text in enumerate(lines)
+        if text.strip() == "value = dp[k - ell]"
+    ]
+    steps = 0
+
+    def local(frame, event, arg):
+        nonlocal steps
+        if event == "line" and frame.f_lineno == target:
+            steps += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is _pal_lengths.__code__ else None
+
+    sys.settrace(calls)
+    try:
+        _pal_lengths(raw)
+    finally:
+        sys.settrace(None)
+    return steps
+
+
+class TestPalLengthWalk:
+    @pytest.mark.parametrize(
+        "text, most",
+        [("fib", 4.3), ("2,(2)", 4.4), ("200,(1)", 1.5), ("1,(50)", 12)],
+    )
+    def test_steps_per_symbol(self, text, most):
+        # The walk is deterministic: with the bound by the last position
+        # below the minimum it reads 4.17, 4.26, 1.38 and 11.77 suffixes
+        # per symbol here.  Up to the floor alone it reads 6.98, 7.41,
+        # 102.1 and 47.9; with the bound keyed one dp value too high,
+        # 6.31, 6.65, 3.54 and 23.8, or 4.40, 4.46, 1.78 and 11.77 when
+        # only the walk's update of the bound is off by one.
+        d = DirectiveSequence.parse(text)
+        raw = characteristic_prefix(d, 5000).raw
+        assert walk_steps(raw) <= most * len(raw)
 
 
 class TestPalLength:
@@ -957,6 +1039,39 @@ class TestHardPrefix:
             construct_hard_prefix(FIB, 1)
         with pytest.raises(ValueError):
             construct_hard_prefix(FIB, -1)
+
+    def test_small_period_refused_after_the_explicit_digits(self, monkeypatch):
+        # a period with no digit of at least 6Q + 2 never helps, so a
+        # huge budget is refused without reading past the explicit digits
+        read = []
+        digit = DirectiveSequence.digit
+
+        def spy(d, i):
+            read.append(i)
+            assert len(read) < 100, "read far past the first period"
+            return digit(d, i)
+
+        monkeypatch.setattr(DirectiveSequence, "digit", spy)
+        with pytest.raises(ValueError) as info:
+            construct_hard_prefix(FIB, 10**9)
+        assert str(info.value) == (
+            "needs 1000000001 directive digits of size at least "
+            "6000000002, found 0"
+        )
+        assert max(read) < len(FIB.explicit)
+        read.clear()
+        d = DirectiveSequence.parse("20,20,(13)")
+        with pytest.raises(ValueError) as info:
+            construct_hard_prefix(d, 2)
+        assert str(info.value) == (
+            "needs 3 directive digits of size at least 14, found 2"
+        )
+        assert max(read) < len(d.explicit)
+
+    def test_large_period_digits(self):
+        # every period holds one large digit, so Q + 1 periods suffice
+        d = DirectiveSequence.parse("0,(1,14)")
+        assert construct_hard_prefix(d, 2) == 7 * (d.q(2) + d.q(4) + d.q(6))
 
 
 class TestStartingAt:
