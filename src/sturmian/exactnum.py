@@ -10,11 +10,9 @@ Sums, differences, products and quotients must stay inside one quadratic
 field Q(sqrt(d)); mixing two radicals raises MixedRadicalError.  Order
 comparisons are exact and *are* allowed across two different fields:
 the sign of v + w1*sqrt(d1) + w2*sqrt(d2) for plain integers (_sign2)
-is decided by squaring and never stores a two-radical value, and
-the floor of such a value over c (_floor2) is one integer floor plus
-one such sign.  compare and the mechanical words of `words` decide
-their cross-field cases through _sign2, the rotation words through
-both.
+is decided by squaring and never stores a two-radical value.  compare
+and the mechanical and rotation words of `words` decide their
+cross-field cases through it.
 """
 
 from __future__ import annotations
@@ -103,20 +101,6 @@ def _sign2(v: int, w1: int, d1: int, w2: int, d2: int) -> int:
     if _radical_sign(v * v - w1 * w1 * d1 - w2 * w2 * d2, -2 * w1 * w2, d1 * d2) > 0:
         return -t
     return t
-
-
-def _floor2(v: int, w1: int, d1: int, w2: int, d2: int, c: int, f2: int) -> int:
-    """floor((v + w1*sqrt(d1) + w2*sqrt(d2)) / c) for plain integers,
-    c > 0, d1 and d2 as for _sign2, given f2 = floor(w2 sqrt(d2)).
-
-    The value lies in [m, m + 1 + 1/c) for m = floor((v + f2 +
-    w1 sqrt(d1)) / c), so one sign test against m + 1 settles it.  The
-    caller passes f2 in because it holds w2 fixed over a whole word.
-    """
-    m = _floor_quadratic(v + f2, w1, c, d1)
-    if _sign2(v - (m + 1) * c, w1, d1, w2, d2) >= 0:
-        return m + 1
-    return m
 
 
 class ExactReal:

@@ -10,6 +10,9 @@ and the palindrome tools share.  The balanced-word count
 (_balanced_counts, two trees) and the palindromic-length DP
 (palindromes._pal_lengths) carry their own inlined eertrees.
 
+Both slope words come from one Rauzy induction: a rotation word steps
+as an upper minus a lower mechanical word of its angle.
+
 A word is stored one symbol per byte (values 0 and 1) and can be
 rendered over {0,1} or {a,b} with the fixed letter coding 0 <-> a,
 1 <-> b.
@@ -17,7 +20,8 @@ rendered over {0,1} or {a,b} with the fixed letter coding 0 <-> a,
 
 from __future__ import annotations
 
-import math
+from itertools import accumulate
+from operator import sub
 
 from ._record import _Record, _setfield
 from .errors import CapExceededError
@@ -25,9 +29,7 @@ from .exactnum import (
     ContinuedFraction,
     ExactReal,
     MixedRadicalError,
-    _floor2,
     _floor_quadratic,
-    _radical_sign,
     _sign2,
     compare,
 )
@@ -391,18 +393,29 @@ def mechanical_word(params: MechanicalParams, n: int) -> BinaryWord:
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    sigma, rho = params.sigma, params.rho
-    c, d, d2 = sigma.c, sigma.d, rho.d
-    lam0, lam1 = (c - sigma.a, -sigma.b), (sigma.a, sigma.b)
+    sigma = params.sigma
+    raw = _mechanical_raw(
+        sigma.a, sigma.b, sigma.c, sigma.d, params.rho, 0, 0, params.flavor == "upper", n
+    )
+    return BinaryWord._from_raw(raw)
+
+
+def _mechanical_raw(sa, sb, c, d, rho, u, v, upper, n) -> bytes:
+    """mechanical_word's induction for the slope (sa + sb sqrt(d)) / c in
+    (0, 1) and the intercept rho + (u + v sqrt(d)) / c in [0, 1), for
+    plain integers sa, sb, u, v, c > 0 and rho in any field.  The part
+    (u, v) lets rotation_word pass an intercept that spans two fields.
+    """
+    lam0, lam1 = (c - sa, -sb), (sa, sb)
     zero, one = b"\x00", b"\x01"
-    r, s, x = rho.a, rho.b, (0, 0)
-    if params.flavor == "upper":
-        zero, one, lam0, lam1, r, s = one, zero, lam1, lam0, -r, -s
-        if r or s:  # x = {-rho} = -rho + 1
-            x = (c, 0)
+    r, s, e, d2 = rho.a, rho.b, rho.c, rho.d
+    if upper:
+        # x = {-t} for the intercept t: 1 - t, or 0 if t = 0
+        lift = c if _sign2(c * r + e * u, e * v, d, c * s, d2) else 0
+        zero, one, lam0, lam1, r, s, u, v = one, zero, lam1, lam0, -r, -s, lift - u, -v
     # x = (r + s sqrt(d2)) / e + (u + v sqrt(d)) / c is kept as (u, v);
     # its sign is that of c*e*x.
-    cr, cs, e = c * r, c * s, rho.c
+    cr, cs, x = c * r, c * s, (u, v)
 
     def count(u: int, v: int, du: int, dv: int, hi: int) -> int:
         """The largest k in [0, hi] with x - k*lam >= 0, or 0 if there
@@ -456,39 +469,7 @@ def mechanical_word(params: MechanicalParams, n: int) -> BinaryWord:
         # the inner word is freed first, and the join is the only copy
         word = b"".join((prefix, memoryview(word)[: size - len(prefix)]))
     assert len(word) == n
-    return BinaryWord._from_raw(word)
-
-
-def _rotation_raw(a, b, r, s, e, u, v, g, c, d, d2, n) -> bytearray:
-    """Symbols 0..n-1 of the rotation word with alpha = (a + b sqrt(d))/c,
-    rho = (r + s sqrt(d) + e sqrt(d2))/c and sigma = (u + v sqrt(d) +
-    g sqrt(d2))/c, for plain integers, c > 0 and d, d2 each 0 or
-    squarefree: one floor and one sign test per symbol.  In one field
-    (e = g = 0) they are _floor_quadratic's, inline, and _radical_sign;
-    a part in the second field brings in _floor2, given the loop
-    invariant floor(e sqrt(d2)), and _sign2, chosen by a test on the
-    loop invariants e and e + g.
-    """
-    isqrt = math.isqrt
-    out = bytearray(n)
-    w = e + g
-    f2 = _floor_quadratic(0, e, 1, d2)
-    for q in range(n):
-        x0, x1 = r + q * a, s + q * b
-        if e:
-            m = _floor2(x0, x1, d, e, d2, c, f2)
-        elif x1 >= 0:
-            m = (x0 + isqrt(x1 * x1 * d)) // c
-        else:
-            m = (x0 - isqrt(x1 * x1 * d - 1) - 1) // c
-        # {x} <= 1 - sigma  <=>  x + sigma <= m + 1; equality gives 0.
-        if w:
-            t = _sign2(x0 + u - (m + 1) * c, x1 + v, d, w, d2)
-        else:
-            t = _radical_sign(x0 + u - (m + 1) * c, x1 + v, d)
-        if t > 0:
-            out[q] = 1
-    return out
+    return word
 
 
 def rotation_word(alpha: ExactReal, rho: ExactReal, sigma: ExactReal, n: int) -> BinaryWord:
@@ -496,30 +477,43 @@ def rotation_word(alpha: ExactReal, rho: ExactReal, sigma: ExactReal, n: int) ->
 
     The boundary case {q*alpha + rho} = 1 - sigma maps to symbol 0.
     alpha, rho, sigma may live in up to two distinct quadratic fields;
-    three distinct radicals raise MixedRadicalError.  The three are put
-    over one denominator with plain-integer coordinates in 1, sqrt(d)
-    and sqrt(d2), where d is the field of alpha (else of rho, else of
-    sigma) and d2 the other field, if any.
+    three distinct radicals raise MixedRadicalError.
+
+    With x_q = q*alpha + rho, r[q] = ceil(x_q + sigma) - floor(x_q) - 1.
+    Let k = floor(rho + sigma) and rho'' = rho + sigma - k, in [0, 1).
+    The floors step as the lower mechanical word L of (alpha, rho) and
+    the ceilings as the upper one U of (alpha, rho''), so r[0] = k +
+    [rho'' != 0] - 1, which is [rho > 1 - sigma], and r[q+1] = r[q] +
+    U[q] - L[q].  Both words come from mechanical_word's induction, and
+    alpha = 0 gives a constant word.  rho'' goes to it as a value in
+    one field plus a part in alpha's field (sigma's, if alpha is
+    rational), so rho and sigma may lie in two fields.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     _require_unit(alpha, "alpha", strict_low=False)
     _require_unit(rho, "rho", strict_low=False)
     _require_unit(sigma, "sigma", strict_low=True)
-    d = alpha.d or rho.d or sigma.d
-    second = {rho.d, sigma.d} - {0, d}
-    if len(second) > 1:
+    if len({alpha.d, rho.d, sigma.d} - {0}) > 2:
         raise MixedRadicalError("three distinct radicals in one comparison")
-    c = alpha.c * rho.c * sigma.c
-    ka, kr, ks = c // alpha.c, c // rho.c, c // sigma.c
-    # a radical coefficient goes to d's coordinate or to d2's
-    s, e = (rho.b * kr, 0) if rho.d == d else (0, rho.b * kr)
-    v, g = (sigma.b * ks, 0) if sigma.d == d else (0, sigma.b * ks)
-    raw = _rotation_raw(
-        alpha.a * ka, alpha.b * ka, rho.a * kr, s, e,
-        sigma.a * ks, v, g, c, d, max(second, default=0), n,
-    )
-    return BinaryWord._from_raw(bytes(raw))
+    side = compare(rho, 1 - sigma)
+    start = int(side > 0)
+    if alpha.is_zero() or n < 2:
+        return BinaryWord._from_raw(bytes([start]) * n)
+    shift = sigma - int(side >= 0)
+    d = alpha.d or sigma.d
+    if sigma.d in (0, d):
+        part, rest = shift, rho
+    elif rho.d in (0, d):
+        part, rest = rho, shift
+    else:  # rho and sigma share a field other than alpha's
+        part, rest = ExactReal(0), rho + shift
+    a, b, c = alpha.a, alpha.b, alpha.c
+    low = _mechanical_raw(a, b, c, d, rho, 0, 0, False, n - 1)
+    # the slope over c * part.c, to carry the part over the same denominator
+    f = part.c
+    up = _mechanical_raw(a * f, b * f, c * f, d, rest, part.a * c, part.b * c, True, n - 1)
+    return BinaryWord._from_raw(bytes(accumulate(map(sub, up, low), initial=start)))
 
 
 def standard_words(d: DirectiveSequence, n: int) -> list[BinaryWord]:

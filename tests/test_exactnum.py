@@ -9,7 +9,6 @@ from sturmian.exactnum import (
     ContinuedFraction,
     ExactReal,
     MixedRadicalError,
-    _floor2,
     _floor_quadratic,
     _sign2,
     cf_expand,
@@ -223,25 +222,6 @@ def test_sign2_matches_brackets():
         want = bracket_sign(v, w1, d1, w2, d2)
         assert _sign2(v, w1, d1, w2, d2) == want, (v, w1, d1, w2, d2)
         assert _sign2(v, w2, d2, w1, d1) == want, (v, w1, d1, w2, d2)
-
-
-def floor2(v, w1, d1, w2, d2, c):
-    """_floor2 given its floor(w2 sqrt(d2))."""
-    return _floor2(v, w1, d1, w2, d2, c, _floor_quadratic(0, w2, 1, d2))
-
-
-def test_floor2_matches_brackets():
-    rng = random.Random(1019)
-    for v, w1, d1, w2, d2 in sign_cases(rng, 1500):
-        c = rng.choice([1, 2, 7, rng.randint(1, 10**4)])
-        v = v * rng.choice([1, c]) + rng.randint(0, c)
-        m = floor2(v, w1, d1, w2, d2, c)
-        assert m == bracket_floor(v, w1, d1, w2, d2, c), (v, w1, d1, w2, d2, c)
-        assert floor2(v, w2, d2, w1, d1, c) == m
-    # one field whose radicals cancel: the sign test meets an exact 0
-    for w, d, c in [(1, 2, 1), (-7, 3, 3), (10**6, 9973, 7)]:
-        for v in (-2 * c, -1, 0, 5 * c, 5 * c + 1):
-            assert floor2(v, w, d, -w, d, c) == v // c
 
 
 def frac(x):

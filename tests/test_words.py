@@ -8,8 +8,8 @@ from sturmian.errors import CapExceededError
 from sturmian.exactnum import (
     ExactReal,
     MixedRadicalError,
-    _floor2,
     _floor_quadratic,
+    _sign2,
     compare,
     parse_real,
 )
@@ -31,6 +31,7 @@ from sturmian.words import (
     rotation_word,
     standard_words,
 )
+from test_exactnum import bracket_floor, sign_cases
 
 FIB = DirectiveSequence.parse("fib")
 D2 = DirectiveSequence.parse("2,(2)")
@@ -150,6 +151,39 @@ def _cmp_sum3(x, y, z, bound):
             continue
         return compare(s, ExactReal(bound) - w)
     raise MixedRadicalError("three distinct radicals in one comparison")
+
+
+def _floor2(v, w1, d1, w2, d2, c, f2):
+    """floor((v + w1*sqrt(d1) + w2*sqrt(d2)) / c) for plain integers,
+    c > 0, d1 and d2 as for _sign2, given f2 = floor(w2 sqrt(d2)).
+
+    The value lies in [m, m + 1 + 1/c) for m = floor((v + f2 +
+    w1 sqrt(d1)) / c), so one sign test against m + 1 settles it.  The
+    caller passes f2 in because it holds w2 fixed over a whole word.
+    """
+    m = _floor_quadratic(v + f2, w1, c, d1)
+    if _sign2(v - (m + 1) * c, w1, d1, w2, d2) >= 0:
+        return m + 1
+    return m
+
+
+def floor2(v, w1, d1, w2, d2, c):
+    """_floor2 given its floor(w2 sqrt(d2))."""
+    return _floor2(v, w1, d1, w2, d2, c, _floor_quadratic(0, w2, 1, d2))
+
+
+def test_floor2_matches_brackets():
+    rng = random.Random(1019)
+    for v, w1, d1, w2, d2 in sign_cases(rng, 1500):
+        c = rng.choice([1, 2, 7, rng.randint(1, 10**4)])
+        v = v * rng.choice([1, c]) + rng.randint(0, c)
+        m = floor2(v, w1, d1, w2, d2, c)
+        assert m == bracket_floor(v, w1, d1, w2, d2, c), (v, w1, d1, w2, d2, c)
+        assert floor2(v, w2, d2, w1, d1, c) == m
+    # one field whose radicals cancel: the sign test meets an exact 0
+    for w, d, c in [(1, 2, 1), (-7, 3, 3), (10**6, 9973, 7)]:
+        for v in (-2 * c, -1, 0, 5 * c, 5 * c + 1):
+            assert floor2(v, w, d, -w, d, c) == v // c
 
 
 def oracle_mechanical_word(params, n):
@@ -418,6 +452,29 @@ class TestRotation:
                     )
                     checked += 1
         assert checked > 700
+        # seeded random triples over Q and Q(sqrt(d)), d = 2, 3, 5, 7, with
+        # alpha = 0, rho = 0 and rho = 1 - sigma among them; denominators
+        # are drawn apart, so alpha's rarely matches the part of rho + sigma
+        # that shares its field
+        rng = random.Random(2408)
+        fields = [0, 2, 3, 5, 7]
+        zero = ExactReal.rational(0)
+        two_field_rational_alpha = 0
+        for _ in range(500):
+            da, dr, ds = (rng.choice(fields) for _ in range(3))
+            if len({da, dr, ds} - {0}) > 2:
+                continue
+            alpha = zero if rng.random() < 0.05 else random_unit(rng, da)
+            sigma = random_unit(rng, ds)
+            rho = rng.choice([zero, one - sigma] + [random_unit(rng, dr)] * 8)
+            n = rng.choice([1, 2, 3, 40, 300])
+            want = brute_rotation_word(alpha, rho, sigma, n)
+            assert rotation_word(alpha, rho, sigma, n).raw == want, (
+                str(alpha), str(rho), str(sigma), n
+            )
+            if alpha.d == 0 and 0 != rho.d != sigma.d != 0:
+                two_field_rational_alpha += 1
+        assert two_field_rational_alpha > 20
 
     def test_boundary_hits_in_one_field(self):
         # {q alpha + rho} = 1 - sigma exactly: at q = 0, and at q = 4 for
