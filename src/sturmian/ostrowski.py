@@ -247,22 +247,11 @@ class _ValidDigitDag:
         top = len(digits) - 1
         while top >= 0 and not digits[top]:
             top -= 1
-        if top < 0:
-            return True
-        return top < len(self.runs) and self.valid_below(
-            digits, top, digits[top], pos
-        )
-
-    def valid_below(self, low, top: int, k: int, pos: int) -> bool:
-        """valid((*low[:top], k), pos) for a level top of the table,
-        walked without building that vector: k copies of s_top from the
-        node (top, pos), then low[top - 1], ..., low[0]."""
-        runs, qs = self.runs, self.qs
-        if k > runs[top][pos]:
+        if top >= len(self.runs):
             return False
-        pos += k * qs[top]
-        for i in range(top - 1, -1, -1):
-            k = low[i]
+        runs, qs = self.runs, self.qs
+        for i in range(top, -1, -1):
+            k = digits[i]
             if k:
                 if k > runs[i][pos]:
                     return False

@@ -8,11 +8,13 @@ is a valid vector of its end), digit distances and their
 gaps, palindromic length via an eertree, and the hard-prefix
 construction that forces the palindromic length up.
 
-occurrence_witness checks one occurrence; occurrence_witnesses, the
-batch behind `verify tpr`, yields the same records for every
-occurrence up to a bound from one Manacher pass, with the witness rule
-shared between the two (see _witness) and reading a per-p1 table of
-digits, prefix sums and digit strings.
+occurrence_witness checks one occurrence, each whole mirror through
+is_valid; occurrence_witnesses, the batch behind `verify tpr`, yields
+the same records for every occurrence up to a bound from one Manacher
+pass.  The batch applies the witness rule inline: it reads a per-p1
+table of digits, prefix sums and digit strings, and walks each mirror
+off the valid-digit DAG's run table in its own loop (see
+_witness_stream).
 
 pal_length, pal_length_profile and `verify hard-prefix` share one
 palindromic-length DP, _pal_lengths: one pass that inserts each symbol
@@ -26,7 +28,8 @@ pal_length_profile(fib, 200_000), the default cap, takes 0.22 s and
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import accumulate, islice
+from operator import mul, sub
 from typing import NamedTuple
 
 from ._record import _Record, _setfield
@@ -295,7 +298,7 @@ def _digit_table(p1: int, qs, ds) -> _DigitTable:
     xs = tuple(_greedy_digits(p1, qs))
     sums = _prefix_sums(xs, qs)
     sums += [p1] * (len(qs) + 1 - len(sums))
-    comp = [d - k for d, k in zip(ds, xs)]
+    comp = list(map(sub, ds, xs))
     comp += ds[len(comp) :]
     top = wide_x = len(xs) - 1
     while wide_x >= 0 and xs[wide_x] < 10:
@@ -312,39 +315,7 @@ def _digit_table(p1: int, qs, ds) -> _DigitTable:
 
 def _prefix_sums(digits, qs) -> list[int]:
     """[S_0, ..., S_n] with S_p = sum_{i<p} k_i q_i over the n digits."""
-    out = [0]
-    for k, q in zip(digits, qs):
-        out.append(out[-1] + k * q)
-    return out
-
-
-def _witness(p1, p2, table: _DigitTable, m, qs, dsums, valid):
-    """The witness rule: (pivot, y) for the occurrence (p1..p2], where
-    table is p1's _DigitTable, m the level of the maximal extension's
-    central word (None if it is none), qs holds q_i for every level
-    read, and dsums[p] = D_p = sum_{i<p} d_i q_i.  Pivot m is tried
-    first, then m - 2 (see occurrence_witness).  The mirror's digits
-    are (*table.comp[:pivot], y, *table.xs[pivot + 1:]); each caller
-    builds or renders them itself.
-
-    The mirror at pivot p keeps x_i above p and takes d_i - x_i below
-    it, so it decodes to (D_p - X_p) + y q_p + (p1 - X_{p+1}), with
-    X_p = table.sums[p]: y costs one division.  valid(comp, p, y, pos)
-    checks the mirror's digits at and below p, y then comp[p - 1], ...,
-    comp[0], placed from position pos = p1 - X_{p+1}, where x's own
-    digits above p end."""
-    if m is not None:
-        sums = table.sums
-        for pivot in (m, m - 2):
-            if pivot < 0:
-                break
-            above = p1 - sums[pivot + 1]
-            y, rem = divmod(p2 - dsums[pivot] + sums[pivot] - above, qs[pivot])
-            if rem == 0 and y >= 0 and valid(table.comp, pivot, y, above):
-                return pivot, y
-    raise TheoremViolationError(
-        f"no witness exists for palindromic occurrence ({p1}..{p2}]"
-    )
+    return list(accumulate(map(mul, digits, qs), initial=0))
 
 
 def occurrence_witness(occ: PalindromeOccurrence) -> OccurrenceWitness:
@@ -378,26 +349,31 @@ def occurrence_witness(occ: PalindromeOccurrence) -> OccurrenceWitness:
         raise ValueError("empty occurrences carry no witness")
     if not occ.is_palindromic():
         raise ValueError("occurrence is not palindromic")
-    d = occ.d
+    d, p1, p2 = occ.d, occ.p1, occ.p2
     ext = maximal_palindromic_extension(occ)
     length = ext.p2 - ext.p1
     m = _central_levels(d, length + 1).get(length)
-    qs = [d.q(i) for i in range(max(_top_level(d, occ.p1), m or 0) + 1)]
+    qs = [d.q(i) for i in range(max(_top_level(d, p1), m or 0) + 1)]
     ds = [d.digit(i) for i in range(m or 0)]
-    table = _digit_table(occ.p1, qs, ds)
-
-    def mirror(comp, pivot, y):
-        return OstrowskiRep(d, (*comp[:pivot], y, *table.xs[pivot + 1 :]))
-
-    def valid(comp, pivot, y, pos):
-        # the whole mirror, x's digits above the pivot included
-        return is_valid(mirror(comp, pivot, y))
-
-    pivot, y = _witness(
-        occ.p1, occ.p2, table, m, qs, _prefix_sums(ds, qs), valid
+    table = _digit_table(p1, qs, ds)
+    xs, sums, comp = table.xs, table.sums, table.comp
+    dsums = _prefix_sums(ds, qs)
+    # the mirror at p decodes to (D_p - X_p) + y q_p + (p1 - X_{p+1}),
+    # D_p = dsums[p] and X_p = sums[p]: y costs one division
+    for pivot in () if m is None else (m, m - 2):
+        if pivot < 0:
+            break
+        rest = p2 - dsums[pivot] + sums[pivot] - p1 + sums[pivot + 1]
+        y, rem = divmod(rest, qs[pivot])
+        if rem == 0 and y >= 0:
+            # the whole mirror, x's digits above the pivot included
+            rep_p2 = OstrowskiRep(d, (*comp[:pivot], y, *xs[pivot + 1 :]))
+            if is_valid(rep_p2):
+                return OccurrenceWitness(p1, p2, OstrowskiRep(d, xs), pivot,
+                                         y, rep_p2, pivot != m)
+    raise TheoremViolationError(
+        f"no witness exists for palindromic occurrence ({p1}..{p2}]"
     )
-    x, rep_p2 = OstrowskiRep(d, table.xs), mirror(table.comp, pivot, y)
-    return OccurrenceWitness(occ.p1, occ.p2, x, pivot, y, rep_p2, pivot != m)
 
 
 def occurrence_witnesses(d: DirectiveSequence, pmax: int):
@@ -433,11 +409,11 @@ def _witness_tuples(d: DirectiveSequence, pmax: int):
     Validity is read off the run table of the valid-digit DAG.  The
     canonical vector x of p1 is walked once, when its table is built;
     a mirror keeps x's digits above its pivot, so it is walked only
-    from its pivot down, straight from the table's complement digits.
-    Every record of a p1 whose x fails that walk is a FAIL.  A record
-    then costs one division for y, that walk, and the join of three
-    strings: x's digits above the pivot, y and the complement digits
-    below it, cut from the table.  Only a mirror with a digit of 10 or
+    from its pivot down, straight from the table's complement digits,
+    inline in the loop over the records.  Every record of a p1 whose x
+    fails that walk is a FAIL.  A record then costs one division for
+    y, that walk, and the join of three strings: x's digits above the
+    pivot, y and the complement digits below it, cut from the table.  Only a mirror with a digit of 10 or
     more is rendered digit by digit.  No digit list, OstrowskiRep or
     OccurrenceWitness is built per record.  On a finite directive at
     most the whole word is read; ValueError, before the iterator is
@@ -492,25 +468,44 @@ def _witness_tuples(d: DirectiveSequence, pmax: int):
         table = _digit_table(p1, qs, ds)
         tables.append(table if dag.valid(table.xs) else None)
     return _witness_stream(starts, level, tables, qs, _prefix_sums(ds, qs),
-                           dag.valid_below)
+                           dag.runs)
 
 
-def _witness_stream(starts, level, tables, qs, dsums, valid):
+def _witness_stream(starts, level, tables, qs, dsums, runs):
     """The tuples of _witness_tuples, from its occurrences by p2 and
-    the level and tables it built."""
+    the level, tables and run table it built: the witness rule of
+    occurrence_witness, with each mirror walked off the run table from
+    its pivot down in the loop itself."""
     for p2, p1s in enumerate(starts):
         for p1 in p1s:
-            table, m, witness = tables[p1], level[p1 + p2], None
-            if table is not None:
-                try:
-                    witness = _witness(p1, p2, table, m, qs, dsums, valid)
-                except TheoremViolationError:
-                    pass
-            if witness is None:
+            table, m = tables[p1], level[p1 + p2]
+            if table is None or m is None:
                 yield p1, p2, None, None, None, None, False
                 continue
-            pivot, y = witness
-            xs, _, comp, rendered, top, high, low, wide_x, wide_c = table
+            xs, sums, comp, rendered, top, high, low, wide_x, wide_c = table
+            for pivot in (m, m - 2):
+                if pivot < 0:
+                    break
+                # x's digits above the pivot end at pos
+                pos = p1 - sums[pivot + 1]
+                q = qs[pivot]
+                y, rem = divmod(p2 - dsums[pivot] + sums[pivot] - pos, q)
+                if rem or y < 0 or y > runs[pivot][pos]:
+                    continue
+                pos += y * q
+                for i in range(pivot - 1, -1, -1):
+                    k = comp[i]
+                    if k:
+                        if k > runs[i][pos]:
+                            break
+                        pos += k * qs[i]
+                else:  # every digit fits: the witness is at this pivot
+                    break
+            else:  # neither pivot
+                pivot = -1
+            if pivot < 0:
+                yield p1, p2, None, None, None, None, False
+                continue
             if y < 10 and wide_x <= pivot <= wide_c:
                 below = low[wide_c - pivot :]
                 if pivot < top:  # led by x's top digit, which is not 0

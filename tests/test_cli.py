@@ -12,7 +12,8 @@ import sys
 import pytest
 
 import sturmian
-from sturmian import cli, palindromes
+from sturmian import cli
+from sturmian.ostrowski import _ValidDigitDag
 
 BASE = [sys.executable, "-m", "sturmian"]
 # the child runs the package the tests import, installed or not
@@ -294,36 +295,37 @@ class TestVerify:
             )
 
     def test_tpr_fail_record(self, monkeypatch):
-        # every mirror of (4..7] rejected: that record, and only it,
-        # becomes FAIL in each format, and the verdict is fail
+        # a run table that refuses the copy of s_3 at 34 in the
+        # canonical vector of 39 = q_7 + q_3: only (39..40] starts at 39,
+        # so that record, and only it, becomes FAIL in each format, and
+        # the verdict is fail
         monkeypatch.delenv("STURM_CAP", raising=False)
         argv = ["verify", "tpr", "--d", "fib", "--pmax", "40", "--format"]
         clean = {fmt: run_in_process(*argv, fmt) for fmt in cli._FORMATS}
-        witness = palindromes._witness
+        build = _ValidDigitDag.__init__
 
-        def reject(p1, p2, table, m, qs, dsums, valid):
-            if (p1, p2) == (4, 7):
-                valid = lambda *args: False
-            return witness(p1, p2, table, m, qs, dsums, valid)
+        def corrupt(dag, d, n):
+            build(dag, d, n)
+            dag.runs[3][34] = 0
 
-        monkeypatch.setattr(palindromes, "_witness", reject)
+        monkeypatch.setattr(_ValidDigitDag, "__init__", corrupt)
         out = {fmt: run_in_process(*argv, fmt) for fmt in cli._FORMATS}
         for fmt in cli._FORMATS:
             assert out[fmt][0] == 2 and out[fmt][2] == ""
-        fail_json = '{"p1": 4, "p2": 7, "status": "FAIL"}'
+        fail_json = '{"p1": 39, "p2": 40, "status": "FAIL"}'
         lines = out["text"][1].splitlines()
         before = clean["text"][1].splitlines()
-        assert lines[11] == fail_json
+        assert lines[151] == fail_json
         assert lines[-2:] == ["occurrences=152 fallbacks=7 failures=1", "fail"]
-        assert lines[:11] + lines[12:-2] == before[:11] + before[12:-2]
+        assert lines[:151] + lines[152:-2] == before[:151] + before[152:-2]
         rows, before = out["csv"][1].splitlines(), clean["csv"][1].splitlines()
-        assert rows[12] == "4,7,,-1,-1,,false,FAIL"
+        assert rows[152] == "39,40,,-1,-1,,false,FAIL"
         assert rows[-1] == "fail"
-        assert rows[:12] + rows[13:-1] == before[:12] + before[13:-1]
+        assert rows[:152] + rows[153:-1] == before[:152] + before[153:-1]
         doc, before = json.loads(out["json"][1]), json.loads(clean["json"][1])
-        assert f", {fail_json}, " in out["json"][1]
-        assert doc["records"][11] == {"p1": 4, "p2": 7, "status": "FAIL"}
-        del doc["records"][11], before["records"][11]
+        assert f", {fail_json}]" in out["json"][1]
+        assert doc["records"][151] == {"p1": 39, "p2": 40, "status": "FAIL"}
+        del doc["records"][151], before["records"][151]
         assert doc == {**before, "pass": False}
 
     def test_h_pattern(self):

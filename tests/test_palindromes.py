@@ -573,6 +573,35 @@ def check_batch(d, pmax):
     return records
 
 
+def rule_records(d, pmax, valid):
+    """The batch's records, rebuilt one occurrence at a time from the
+    witness rule with validity read from valid(digits): p1's canonical
+    vector x must pass, then the mirror at m, the level of the maximal
+    extension's central word, is tried, then the one at m - 2, each
+    where its y is exact and >= 0; a FAIL where none passes."""
+    levels = _central_levels(d, 2 * pmax)
+    for occ in palindromic_occurrences(d, pmax):
+        ext = maximal_palindromic_extension(occ)
+        m = levels.get(ext.p2 - ext.p1)
+        x = encode(occ.p1, d)
+        record = {"p1": occ.p1, "p2": occ.p2, "status": "FAIL"}
+        if m is not None and valid(x.digits):
+            for pivot in (m, m - 2):
+                if pivot < 0:
+                    break
+                rest = occ.p2 - decode(mirror(x, pivot, 0, d))
+                y, rem = divmod(rest, d.q(pivot))
+                if rem or y < 0:
+                    continue
+                rep = mirror(x, pivot, y, d)
+                if valid(rep.digits):
+                    record = OccurrenceWitness(
+                        occ.p1, occ.p2, x, pivot, y, rep, pivot != m
+                    ).to_record()
+                    break
+        yield record
+
+
 class TestBatch:
     @pytest.mark.parametrize(
         "text", ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)",
@@ -591,29 +620,68 @@ class TestBatch:
         records = check_batch(d, 44)
         assert sum(r["fallback_used"] for r in records) == 7
 
-    def test_run_table_verdicts_match_is_valid(self, monkeypatch):
-        # every vector the batch checks (each canonical x, through valid,
-        # and each mirror), read off the run table from its top digit k
-        # at level top down: the digits above it are the canonical ones
-        # of pos
-        seen = []
-        table_valid = _ValidDigitDag.valid_below
-
-        def spy(dag, low, top, k, pos):
-            verdict = table_valid(dag, low, top, k, pos)
-            upper = encode(pos, d).digits
-            assert not any(upper[: top + 1])
-            seen.append(((*low[:top], k, *upper[top + 1 :]), verdict))
-            return verdict
-
-        monkeypatch.setattr(_ValidDigitDag, "valid_below", spy)
+    def test_run_table_verdicts_match_is_valid(self):
+        # every verdict the batch takes, on each canonical x and on each
+        # mirror it tries, is is_valid's: its records are the witness
+        # rule's with is_valid as the check (the rejecting walk is
+        # test_run_table_rejects_one_walk's)
         for text in ("fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)"):
             d = DirectiveSequence.parse(text)
-            seen.clear()
+
+            def check(digits):
+                return is_valid(OstrowskiRep(d, tuple(digits)))
+
             records = list(occurrence_witnesses(d, 150))
-            assert len(seen) >= len(records)
-            for digits, verdict in seen:
-                assert verdict == is_valid(OstrowskiRep(d, digits))
+            assert records == list(rule_records(d, 150, check))
+
+    @pytest.mark.parametrize("at_pivot", [False, True])
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_run_table_rejects_one_walk(self, monkeypatch, fallback, at_pivot):
+        # one entry that the mirror of a chosen record reads below its
+        # pivot (or at it) lowered under the digit placed there: the
+        # records that change fall back to m - 2 or become FAIL, as the
+        # witness rule with dag.valid as the check predicts, and no
+        # other record changes
+        d, pmax = DirectiveSequence.parse("0,2,(1,3)"), 80
+        clean = list(occurrence_witnesses(d, pmax))
+        dag = _ValidDigitDag(d, pmax)
+        for r in clean:
+            if r["fallback_used"] != fallback:
+                continue
+            p1, pivot = r["p1"], r["m"]
+            digits = OstrowskiRep.parse(r["rep_p2"], d).digits
+            pos, cut = 0, None
+            for i in range(len(digits) - 1, -1, -1):
+                if digits[i] and (i == pivot if at_pivot else i < pivot):
+                    # only where p1's own vector still passes
+                    run = dag.runs[i]
+                    keep, run[pos] = run[pos], digits[i] - 1
+                    x_valid = dag.valid(encode(p1, d).digits)
+                    run[pos] = keep
+                    if x_valid:
+                        cut = i, pos, digits[i] - 1
+                        break
+                pos += digits[i] * d.q(i)
+            if cut is not None:
+                break
+        assert cut is not None
+        i, pos, value = cut
+        build = _ValidDigitDag.__init__
+
+        def corrupt(dag, d, n):
+            build(dag, d, n)
+            dag.runs[i][pos] = value
+
+        monkeypatch.setattr(_ValidDigitDag, "__init__", corrupt)
+        dag = _ValidDigitDag(d, pmax)
+        records = list(occurrence_witnesses(d, pmax))
+        assert records == list(rule_records(d, pmax, dag.valid))
+        changed = [(a, b) for a, b in zip(clean, records) if a != b]
+        assert r in [a for a, _ in changed]
+        for a, b in changed:
+            assert b.get("status") == "FAIL" or (
+                b["fallback_used"] and not a["fallback_used"]
+            )
 
     def test_bad_canonical_vector_fails_every_record(self, monkeypatch):
         # a run table that refuses x = encode(p1) at its lowest nonzero
