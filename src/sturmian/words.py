@@ -7,8 +7,10 @@ of proved length, the balance test with counterexample witness, block
 partitions of characteristic words, a power-freeness check, and the
 eertree of palindromic factors, PalindromicTree, that the balance test
 and the palindrome tools share.  The balanced-word count
-(_balanced_counts, two trees) and the palindromic-length DP
-(palindromes._pal_lengths) carry their own inlined eertrees.
+(_balanced_counts, two trees) and the two passes of the
+palindromic-length DP carry their own inlined eertrees:
+palindromes._balanced_pal_lengths keys its nodes by length and centre,
+palindromes._general_pal_lengths keeps child lists.
 
 Both slope words come from one Rauzy induction: a rotation word steps
 as an upper minus a lower mechanical word of its angle.

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import sturmian
-from sturmian import cli
+from sturmian import cli, palindromes
 from sturmian.ostrowski import _ValidDigitDag
 
 BASE = [sys.executable, "-m", "sturmian"]
@@ -183,6 +183,17 @@ class TestPal:
     def test_profile_rows(self):
         r = run_cli("pal", "profile", "--d", "fib", "--length", "100")
         assert r.stdout == "1\t1\n2\t2\n9\t3\n62\t4\n"
+
+    def test_profile_refusal_is_a_theorem_violation(self, monkeypatch):
+        # a characteristic prefix is balanced, so a refusal by the
+        # balanced pass is reported, not routed round
+        monkeypatch.setattr(
+            palindromes, "_balanced_pal_lengths", lambda raw: None
+        )
+        argv = ("pal", "profile", "--d", "fib", "--length", "100")
+        code, out, err = run_in_process(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_starting_at(self):
         r = run_cli(

@@ -25,7 +25,9 @@ from sturmian.ostrowski import (
 from sturmian.palindromes import (
     PalindromeOccurrence,
     PalindromicTree,
+    _balanced_pal_lengths,
     _central_levels,
+    _general_pal_lengths,
     _pal_lengths,
     central_word,
     construct_hard_prefix,
@@ -49,6 +51,7 @@ from sturmian.words import (
     BinaryWord,
     DirectiveSequence,
     _factors,
+    balance_witness,
     characteristic_prefix,
 )
 
@@ -948,9 +951,9 @@ class TestPalLengthRows:
         check_pal_lengths(characteristic_prefix(d, 5000).raw)
 
     def test_memory_per_symbol(self):
-        # one shared int pool: about 77-81 bytes per symbol on Python
-        # 3.10-3.13, against 97-105 with an int of its own per node id
-        # and per length
+        # the balanced pass, keyed by length and centre: about 34 bytes
+        # per symbol on Python 3.10-3.13, against 77-81 for the general
+        # pass with its shared int pool
         raw = characteristic_prefix(FIB, 50_000).raw
         _pal_lengths(raw[:100])
         tracing = tracemalloc.is_tracing()
@@ -964,17 +967,49 @@ class TestPalLengthRows:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak <= 90 * len(raw)
+        assert peak <= 40 * len(raw)
+
+
+class TestBalancedPalLengths:
+    def test_refuses_exactly_the_unbalanced_words(self):
+        # short random words are mostly unbalanced, so both outcomes
+        # occur often
+        rng = random.Random(20261024)
+        refused = 0
+        for _ in range(4000):
+            raw = bytes(rng.randrange(2) for _ in range(rng.randrange(60)))
+            dp = _balanced_pal_lengths(raw)
+            unbalanced = balance_witness(BinaryWord(raw)) is not None
+            assert (dp is None) == unbalanced
+            if dp is None:
+                refused += 1
+            else:
+                assert dp == _general_pal_lengths(raw)
+        assert 2000 < refused < 3900
+
+    @pytest.mark.parametrize(
+        "text", ["fib", "2,(2)", "1,(50)", "0,2,(1,3)", "3,1,(4,1,5)"]
+    )
+    def test_never_refuses_a_factor(self, text):
+        # factors that are not prefixes are balanced but need not be
+        # closed under reversal, so palindromes enter in another order
+        rng = random.Random(text)
+        raw = characteristic_prefix(DirectiveSequence.parse(text), 3000).raw
+        for _ in range(300):
+            start = rng.randrange(1, 2000)
+            factor = raw[start : start + rng.randrange(1, 1000)]
+            assert _balanced_pal_lengths(factor) == _general_pal_lengths(factor)
 
 
 def walk_steps(raw):
-    """The suffixes the _pal_lengths walk reads after the longest one,
-    counted by tracing the one line that reads such a suffix's dp."""
-    lines, first = inspect.getsourcelines(_pal_lengths)
+    """The suffixes the balanced pass's walk reads after the longest
+    one, counted by tracing the one line that reads such a suffix's
+    dp."""
+    lines, first = inspect.getsourcelines(_balanced_pal_lengths)
     (target,) = [
         first + j
         for j, text in enumerate(lines)
-        if text.strip() == "value = dp[k - ell]"
+        if text.strip() == "value = dp[k - suffix]"
     ]
     steps = 0
 
@@ -985,11 +1020,12 @@ def walk_steps(raw):
         return local
 
     def calls(frame, event, arg):
-        return local if frame.f_code is _pal_lengths.__code__ else None
+        code = _balanced_pal_lengths.__code__
+        return local if frame.f_code is code else None
 
     sys.settrace(calls)
     try:
-        _pal_lengths(raw)
+        _balanced_pal_lengths(raw)
     finally:
         sys.settrace(None)
     return steps
