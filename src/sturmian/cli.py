@@ -660,6 +660,9 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 0
 

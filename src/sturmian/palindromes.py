@@ -22,14 +22,15 @@ into a preallocated eertree and stops its suffix-link walk at two
 proved bounds.  In a balanced word a palindrome is fixed by its length
 and centre, so the balanced pass names each node by those two and
 keeps one list of suffix-link deltas, with no length or child lists;
-it returns None on an unbalanced word.  pal_length_profile runs only
-that pass, since a characteristic prefix is balanced, and reports a
-refusal as a TheoremViolationError; pal_length falls back to the
-general pass, whose ids and lengths come from one shared int pool.
-pal_length_profile(fib, 200_000), the default cap, takes 0.18 s and
-10**6 symbols 0.90 s, at about 34 bytes per symbol against 80 for the
-general pass (medians of 7 fresh-process runs on a 2-vCPU VM with
-Python 3.11.7).
+it holds its dp row in bytes and returns None on an unbalanced word.
+pal_length_profile runs only that pass, since a characteristic prefix
+is balanced, and reports a refusal as a TheoremViolationError;
+pal_length sends a word with both 00 and 11 as factors straight to the
+general pass, whose ids and lengths come from one shared int pool, and
+falls back to it on a refusal.  pal_length_profile(fib, 200_000), the
+default cap, takes 0.19 s and 10**6 symbols 1.17 s, at about 20 bytes
+per symbol against 80 for the general pass (medians of 7 fresh-process
+runs on a shared 2-vCPU VM with Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -625,7 +626,11 @@ def zd_max_gap(
 
 def _pal_lengths(raw: bytes) -> list[int]:
     """dp[i] = palindromic length of raw[:i], for i = 0..len(raw): the
-    balanced pass, or the general pass where it refuses raw."""
+    balanced pass, or the general pass where it refuses raw.  A word
+    with both 00 and 11 as factors is unbalanced (those windows hold 0
+    and 2 ones), so it goes to the general pass at once."""
+    if b"\x00\x00" in raw and b"\x01\x01" in raw:
+        return _general_pal_lengths(raw)
     dp = _balanced_pal_lengths(raw)
     return _general_pal_lengths(raw) if dp is None else dp
 
@@ -657,6 +662,11 @@ def _balanced_pal_lengths(raw: bytes) -> list[int] | None:
     new longest palindromic suffix whose key the other holds.  So the
     pass returns None exactly when raw is unbalanced.
 
+    Where the symbol before the link s of the parent p matches as well,
+    the new node's link is a s a, and its delta is p's own, back[p]; on
+    a characteristic prefix nearly every step takes that branch, which
+    reads no dict.
+
     Positions are doubled: step i (1-based) runs at k = 2i + 2, the
     symbol raw[j] sits at slots 2j + 3 and 2j + 4 of word, and dp[j] at
     slots 2j - 1 and 2j of dp (dp[0] at slot 0 and at slot -1, the
@@ -664,9 +674,15 @@ def _balanced_pal_lengths(raw: bytes) -> list[int] | None:
     what the general pass reads at i + 1 - L, so the walk needs no
     shift.
     The walk reads the same suffixes as the general pass, with the same
-    two bounds, and last[v] holds the even slot of the last dp v.  The
-    odd slots are dropped at the end, in place.  About 34 bytes per
-    symbol: two lists of 2n pointers and 2n bytes of word.
+    two bounds, and last[v] holds the even slot of the last dp v.
+
+    dp is a bytearray: fib first needs 13 palindromes at 31,622,993
+    symbols.  A palindromic length of 256 or more makes the store raise
+    ValueError, and the row becomes a list there, so the pass is exact on
+    every word.  At the end word and back are freed, the odd slots are
+    dropped in place, and the row is returned as a list.  About 20 bytes
+    per symbol: one list of 2n pointers (back) and 2n bytes each of word
+    and dp.
     """
     n = len(raw)
     word = bytearray(2 * n + 3)
@@ -676,31 +692,37 @@ def _balanced_pal_lengths(raw: bytes) -> list[int] | None:
     back = [0] * (2 * n + 4)
     back[2] = 2
     deltas = {}
-    dp = [0] * (2 * n + 2)
+    dp = bytearray(2 * n + 2)
     last = [0]  # dp[0] = 0, the empty prefix
     top = 1  # len(last)
     node = 2
+    prev = 0  # dp[i - 1]
     for k, symbol in zip(range(4, 2 * n + 3, 2), raw):
         while word[k - node] != symbol:
             node -= back[node]
         key = node + 4 if node else 4 + symbol
         if back[key]:
             return None
-        if node:
-            suffix = node - back[node]
-            while word[k - suffix] != symbol:
-                suffix -= back[suffix]
-            suffix = suffix + 4 if suffix else 4 + symbol
+        delta = back[node]
+        suffix = node - delta  # 0 at either root
+        if suffix and word[k - suffix] == symbol:
+            # the link of a p a is a s a for the link s of p: the same
+            # delta
+            back[key] = delta
+            suffix += 4
         else:
-            suffix = 2
-        delta = key - suffix
-        back[key] = deltas.setdefault(delta, delta)
+            if node:
+                while word[k - suffix] != symbol:
+                    suffix -= back[suffix]
+                suffix = suffix + 4 if suffix else 4 + symbol
+            else:
+                suffix = 2
+            delta = key - suffix
+            back[key] = deltas.setdefault(delta, delta)
         node = key
-        prev = dp[k - 4]
         short = dp[k - key]
         if short > prev:
             short = prev
-        suffix = key - back[key]
         if suffix > 2 and short > prev - 2 and short:
             stop = k - last[short - 1]
             while suffix >= stop:
@@ -711,16 +733,20 @@ def _balanced_pal_lengths(raw: bytes) -> list[int] | None:
                         break
                     stop = k - last[short - 1]
                 suffix -= back[suffix]
-        short += 1
-        dp[k - 3] = dp[k - 2] = short
+        prev = short = short + 1
+        try:
+            dp[k - 3] = dp[k - 2] = short
+        except ValueError:  # a palindromic length above 255
+            dp = list(dp)
+            dp[k - 3] = dp[k - 2] = short
         if short < top:
             last[short] = k - 2
         else:
             last.append(k - 2)
             top += 1
-    del word, back  # before the compaction, which copies n + 1 pointers
+    del word, back  # before the list, which holds n + 1 pointers
     del dp[1::2]
-    return dp
+    return list(dp)
 
 
 def _general_pal_lengths(raw: bytes) -> list[int]:
@@ -833,7 +859,7 @@ def _general_pal_lengths(raw: bytes) -> list[int]:
 
 def _check_profile_length(L: int, cap: int) -> None:
     """Refuse a prefix DP over more than cap symbols; it holds about
-    34 bytes per symbol."""
+    20 bytes per symbol."""
     if L > cap:
         raise CapExceededError(f"profile length is capped at {cap}, got {L}")
 

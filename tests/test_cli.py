@@ -31,7 +31,7 @@ TPR_DIGESTS = _cases("tpr_stdout_sha256.json")
 CLI_DIGESTS = _cases("cli_stdout_sha256.json")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, **popen):
     env = os.environ.copy()
     env.pop("STURM_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -40,7 +40,7 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=env
+        BASE + list(args), capture_output=True, text=True, env=env, **popen
     )
 
 
@@ -194,6 +194,23 @@ class TestPal:
         code, out, err = run_in_process(*argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_profile_row_past_a_byte(self, monkeypatch):
+        # the balanced pass holds its row in bytes and moves it to a
+        # list at the first palindromic length a byte cannot hold; a
+        # row that holds only 0..2 takes that branch at length 9
+        argv = ("pal", "profile", "--d", "fib", "--length", "20000")
+        expected = run_in_process(*argv)
+
+        class Narrow(bytearray):
+            def __setitem__(self, index, value):
+                if isinstance(index, int) and value > 2:
+                    raise ValueError("byte must be in range(0, 3)")
+                super().__setitem__(index, value)
+
+        monkeypatch.setattr(palindromes, "bytearray", Narrow, raising=False)
+        assert run_in_process(*argv) == expected
+        assert expected[0] == 0 and expected[1].count("\n") == 7
 
     def test_starting_at(self):
         r = run_cli(
@@ -489,6 +506,21 @@ class TestErrorsAndCaps:
         r = run_cli("count", "rotation-words", "--sigma", "(-1+sqrt(2))", "--length", "43")
         assert r.returncode == 1
         assert r.stderr == "error: rotation-word sweep is capped at length 42, got 43\n"
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's"
+    )
+    def test_out_of_memory_is_an_error_line(self):
+        # the totient sieve of 10**8 entries does not fit in 600 MB of
+        # address space
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+        r = run_cli("count", "sturmian", "--n", "100000000", preexec_fn=limit)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: out of memory\n"
 
     def test_bad_env_cap(self):
         r = run_cli(

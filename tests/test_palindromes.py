@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+from sturmian import palindromes
 from sturmian.errors import CapExceededError
 from sturmian.ostrowski import (
     _ValidDigitDag,
@@ -951,9 +952,9 @@ class TestPalLengthRows:
         check_pal_lengths(characteristic_prefix(d, 5000).raw)
 
     def test_memory_per_symbol(self):
-        # the balanced pass, keyed by length and centre: about 34 bytes
-        # per symbol on Python 3.10-3.13, against 77-81 for the general
-        # pass with its shared int pool
+        # the balanced pass, keyed by length and centre with its dp row
+        # in bytes: about 20 bytes per symbol on Python 3.10-3.13, against
+        # 77-81 for the general pass with its shared int pool
         raw = characteristic_prefix(FIB, 50_000).raw
         _pal_lengths(raw[:100])
         tracing = tracemalloc.is_tracing()
@@ -967,7 +968,26 @@ class TestPalLengthRows:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak <= 40 * len(raw)
+        assert peak <= 24 * len(raw)
+
+    def test_words_with_00_and_11_skip_the_balanced_pass(self, monkeypatch):
+        # the windows 00 and 11 hold 0 and 2 ones, so such a word is
+        # unbalanced and the balanced pass would only refuse it
+        def balanced(raw):
+            raise AssertionError("the balanced pass ran")
+
+        monkeypatch.setattr(palindromes, "_balanced_pal_lengths", balanced)
+        fib = characteristic_prefix(FIB, 2000).raw
+        for raw in (
+            fib + b"\x01\x01\x01",
+            bytes((0, 0, 1, 0, 1, 1)) * 50,
+            b"\x00\x00\x01\x01",
+        ):
+            assert _pal_lengths(raw) == suffix_link_pal_lengths(raw)
+        # fib holds 00 but not 11, and the complement 11 but not 00
+        for raw in (fib, bytes(1 - a for a in fib)):
+            with pytest.raises(AssertionError, match="balanced pass ran"):
+                _pal_lengths(raw)
 
 
 class TestBalancedPalLengths:
@@ -999,6 +1019,39 @@ class TestBalancedPalLengths:
             start = rng.randrange(1, 2000)
             factor = raw[start : start + rng.randrange(1, 1000)]
             assert _balanced_pal_lengths(factor) == _general_pal_lengths(factor)
+
+
+def narrow_bytearray(most, refused):
+    """A bytearray whose single-item stores refuse values above most,
+    as a bytearray refuses 256 and above; refused collects them."""
+
+    class Narrow(bytearray):
+        def __setitem__(self, index, value):
+            if isinstance(index, int) and value > most:
+                refused.append(value)
+                raise ValueError(f"byte must be in range(0, {most + 1})")
+            super().__setitem__(index, value)
+
+    return Narrow
+
+
+class TestBalancedRowPromotion:
+    @pytest.mark.parametrize("most", [0, 1, 3, 5])
+    def test_row_leaves_bytes_at_the_first_value_past_them(
+        self, monkeypatch, most
+    ):
+        # palindromic lengths of balanced words grow too slowly to reach
+        # 256 within a test, so a narrower row drives the promotion
+        refused = []
+        monkeypatch.setattr(
+            palindromes, "bytearray", narrow_bytearray(most, refused),
+            raising=False,
+        )
+        for text in ["fib", "2,(2)"]:
+            raw = characteristic_prefix(DirectiveSequence.parse(text), 3000).raw
+            assert _balanced_pal_lengths(raw) == _general_pal_lengths(raw)
+        # once per word: the promoted row is a list
+        assert refused == [most + 1, most + 1]
 
 
 def walk_steps(raw):
@@ -1095,6 +1148,17 @@ class TestProfile:
         expected = [tuple(pair) for pair in golden["records"][text]]
         d = DirectiveSequence.parse(text)
         assert pal_length_profile(d, golden["length"]) == expected
+
+    def test_large_records_extend_the_default_cap(self):
+        # tests/check_large_records.py recomputes them in full
+        large = json.loads((DATA / "large_records.json").read_text())
+        for entry in large["directives"]:
+            d = DirectiveSequence.parse(entry["d"])
+            stored = [tuple(pair) for pair in entry["records"]]
+            assert stored[-1] == (entry["length"], len(stored))
+            assert pal_length_profile(d, 200_000) == [
+                pair for pair in stored if pair[0] <= 200_000
+            ]
 
     def test_record_structure(self):
         inc = DirectiveSequence.parse("1,2,3,4,5,6,7,8,(9)")
