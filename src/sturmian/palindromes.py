@@ -17,26 +17,27 @@ off the valid-digit DAG's run table in its own loop (see
 _witness_stream).
 
 pal_length, pal_length_profile and `verify hard-prefix` share one
-palindromic-length DP, _pal_lengths: one pass that inserts each symbol
-into a preallocated eertree and stops its suffix-link walk at two
-proved bounds.  In a balanced word a palindrome is fixed by its length
-and centre, so the balanced pass names each node by those two and
-keeps one list of suffix-link deltas, with no length or child lists;
-it holds its dp row in bytes and returns None on an unbalanced word.
-pal_length_profile runs only that pass, since a characteristic prefix
-is balanced, and reports a refusal as a TheoremViolationError;
-pal_length sends a word with both 00 and 11 as factors straight to the
-general pass, whose ids and lengths come from one shared int pool, and
-falls back to it on a refusal.  pal_length_profile(fib, 200_000), the
-default cap, takes 0.19 s and 10**6 symbols 1.17 s, at about 20 bytes
-per symbol against 80 for the general pass (medians of 7 fresh-process
-runs on a shared 2-vCPU VM with Python 3.11.7).
+palindromic-length DP, _pal_lengths: a walk down the suffix links of
+each prefix's longest palindromic suffix that stops at two proved
+bounds.  In a balanced word a palindrome is fixed by its length and
+centre, so the balanced pass inlines its own eertree that names each
+node by those two and keeps one list of suffix-link deltas, with no
+length or child lists; it holds its dp row in bytes and returns None
+on an unbalanced word.  pal_length_profile runs only that pass, since a
+characteristic prefix is balanced, and reports a refusal as a
+TheoremViolationError; pal_length sends a word with both 00 and 11 as
+factors straight to the general pass, which walks the nodes of a
+PalindromicTree, and falls back to it on a refusal.
+pal_length_profile(fib, 200_000), the default cap, takes 0.19 s and
+10**6 symbols 1.17 s, at about 20 bytes per symbol (medians of 7
+fresh-process runs on a shared 2-vCPU VM with Python 3.11.7); the
+general pass takes 53-113 bytes per symbol on 131,071-symbol words.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -670,9 +671,8 @@ def _balanced_pal_lengths(raw: bytes) -> list[int] | None:
     Positions are doubled: step i (1-based) runs at k = 2i + 2, the
     symbol raw[j] sits at slots 2j + 3 and 2j + 4 of word, and dp[j] at
     slots 2j - 1 and 2j of dp (dp[0] at slot 0 and at slot -1, the
-    unwritten last one).  Slot k - key then holds, for either centre,
-    what the general pass reads at i + 1 - L, so the walk needs no
-    shift.
+    unwritten last one).  Slot k - key then holds dp[i - L] for either
+    centre, so the walk needs no shift.
     The walk reads the same suffixes as the general pass, with the same
     two bounds, and last[v] holds the even slot of the last dp v.
 
@@ -753,107 +753,58 @@ def _general_pal_lengths(raw: bytes) -> list[int]:
     """dp[i] = palindromic length of raw[:i], for i = 0..len(raw), for
     any binary word.
 
-    One pass: each symbol goes into an eertree (as in PalindromicTree),
-    then dp[i] is one plus the least dp[i - |p|] over the palindromic
-    suffixes p of raw[:i], read off the suffix links from the longest.
+    A PalindromicTree takes the whole word and lists the node of each
+    prefix's longest palindromic suffix.  dp[i] is then one plus the
+    least dp[i - |p|] over the palindromic suffixes p of raw[:i], read
+    off the suffix links from the longest.  The walk keeps s, the least
+    dp read so far, with the one-symbol suffix counted from the start,
+    so s <= dp[i - 1].  Two bounds stop it:
 
-    The tree's lists are allocated once.  Only the longest palindromic
-    suffix of a prefix can be a new palindrome, so a word of length n
-    has at most n distinct nonempty palindromes and the tree at most
-    n + 2 nodes, the roots 0 (length -1) and 1 (length 0) included.
-
-    No int object is made per node.  One pool, ints = [0, 1, ..., n + 1],
-    is built first, and the loop counter k runs through ints[2:]: symbol
-    i (1-based) is read at k = i + 1, and the node it creates gets id k,
-    the pool's own object.  Its length is ints[parent's length + 2], so
-    every id and length in the lists is a pool object, and the DP holds
-    about 80 bytes per symbol (an int object of its own per id and per
-    length would make it about 100).  Positions are counted in k too,
-    so the loop keeps dp[i] at index k = i + 1 and drops the unused
-    entry 0 at the end.
-
-    The walk keeps s, the least dp over the suffixes read so far, with
-    the one-symbol suffix counted from the start, so s <= dp[i - 1].
-    Two bounds stop it:
-
-    - The floor: s cannot go below dp[i - 1] - 2, because PL(w) <=
-      PL(wa) + 1 for every word w and symbol a.  Proof: write wa =
-      p1...pk with k = PL(wa).  The palindrome pk ends in a, so pk is a
-      or a u a with u a palindrome, and w = p1...p(k-1) a u needs at
-      most k + 1 palindromes.
-    - The last position below s: last[v] is the last position so far
-      (counted in k) whose dp is v, so the list is as long as the
-      largest dp value.
-      PL(wa) <= PL(w) + 1 too (append the palindrome a), so dp moves by
-      at most 1 per symbol.  As s <= dp[i - 1], every position after
-      the last one with dp <= s - 1 has dp >= s, and that last position
-      has dp exactly s - 1: it is last[s - 1].  A shorter suffix starts
-      later, so it lowers s only if it starts at or before last[s - 1],
-      and the walk stops at lengths below i - last[s - 1].  At s = 0,
-      where the whole prefix is a palindrome, nothing is lower.
+    - The floor dp[i - 1] - 2: PL(w) <= PL(wa) + 1.  The last palindrome
+      of wa is a or a u a, so w needs at most one palindrome more.
+    - The last position below s.  PL(wa) <= PL(w) + 1 as well, so dp
+      moves by at most 1 per symbol, and last[v], the last position so
+      far whose dp is v, is the last position with dp < v + 1.  A
+      suffix lowers s only if it starts at or before last[s - 1], so the
+      walk stops at lengths below i - last[s - 1].  At s = 0 the whole
+      prefix is a palindrome, and nothing is lower.
 
     Both are checked only when the longest palindromic suffix has a
     next one, that is when its suffix link is not a root; otherwise it
     is the one-symbol suffix and dp[i] = dp[i - 1] + 1.
     """
-    n = len(raw)
-    ints = list(range(n + 2))
-    # word[k - L] is the symbol before the palindromic suffix of length
-    # L of the k - 2 symbols read before step k; before all of them it
-    # is the sentinel word[2], which matches no symbol
-    word = b"\x02\x02\x02" + raw
-    length = [0] * (n + 2)
-    length[0] = -1
-    link = [0] * (n + 2)
-    to0 = [0] * (n + 2)
-    to1 = [0] * (n + 2)
-    dp = [0] * (n + 2)
-    last = [1]  # dp[1] = 0, the empty prefix
+    tree = PalindromicTree()
+    ends = []
+    tree._feed(raw, ends)
+    length, link = tree._len, tree._link
+    dp = [0]
+    last = [0]  # dp[0] = 0, the empty prefix
     top = 1  # len(last)
-    node = 1
-    for k, symbol in zip(islice(ints, 2, None), raw):
-        while word[k - length[node]] != symbol:
-            node = link[node]
-        to = to1 if symbol else to0
-        found = to[node]
-        if not found:
-            if node:
-                suffix = link[node]
-                while word[k - length[suffix]] != symbol:
-                    suffix = link[suffix]
-                suffix = to[suffix]
-            else:
-                suffix = 1
-            found = k
-            length[k] = ints[length[node] + 2]
-            link[k] = suffix
-            to[node] = k
-        node = found
-        prev = dp[k - 1]
-        short = dp[k - length[node]]
+    prev = 0  # dp[i - 1]
+    for i, node in enumerate(ends, 1):
+        short = dp[i - length[node]]
         if short > prev:
             short = prev
         suffix = link[node]
         if suffix > 1 and short > prev - 2 and short:
-            stop = k - last[short - 1]
+            stop = i - last[short - 1]
             ell = length[suffix]
             while ell >= stop:
-                value = dp[k - ell]
+                value = dp[i - ell]
                 if value < short:
                     short = value
                     if short == prev - 2:
                         break
-                    stop = k - last[short - 1]
+                    stop = i - last[short - 1]
                 suffix = link[suffix]
                 ell = length[suffix]
-        short += 1
-        dp[k] = short
+        prev = short = short + 1
+        dp.append(short)
         if short < top:
-            last[short] = k
+            last[short] = i
         else:
-            last.append(k)
+            last.append(i)
             top += 1
-    del dp[0]
     return dp
 
 

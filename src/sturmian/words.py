@@ -5,12 +5,11 @@ parameters; standard and characteristic words come from a directive
 sequence.  Also here: factor sets and factor counts read off a prefix
 of proved length, the balance test with counterexample witness, block
 partitions of characteristic words, a power-freeness check, and the
-eertree of palindromic factors, PalindromicTree, that the balance test
-and the palindrome tools share.  The balanced-word count
-(_balanced_counts, two trees) and the two passes of the
-palindromic-length DP carry their own inlined eertrees:
-palindromes._balanced_pal_lengths keys its nodes by length and centre,
-palindromes._general_pal_lengths keeps child lists.
+eertree of palindromic factors, PalindromicTree, that the balance test,
+the palindrome tools and the general palindromic-length pass share.
+The balanced-word count (_balanced_counts, two trees) and
+palindromes._balanced_pal_lengths, which keys its nodes by length and
+centre, carry their own inlined eertrees.
 
 Both slope words come from one Rauzy induction: a rotation word steps
 as an upper minus a lower mechanical word of its angle.
@@ -659,7 +658,9 @@ class PalindromicTree:
     __slots__ = ("_word", "_len", "_link", "_child", "_last")
 
     def __init__(self, word: BinaryWord | None = None):
-        self._word = bytearray()
+        # word[0] is a sentinel that matches no symbol: it stands before
+        # a suffix as long as the whole prefix, so no index is negative
+        self._word = bytearray(b"\x02")
         self._len = [-1, 0]
         self._link = [0, 0]
         self._child = ([0, 0], [0, 0])
@@ -667,9 +668,10 @@ class PalindromicTree:
         if word is not None:
             self._feed(word.raw)
 
-    def _feed(self, symbols) -> None:
+    def _feed(self, symbols, ends: list | None = None) -> None:
         """Append each symbol, keeping the node of the longest
-        palindromic suffix."""
+        palindromic suffix; ends, if given, receives that node after
+        each symbol."""
         word, length, link = self._word, self._len, self._link
         child0, child1 = self._child
         node = self._last
@@ -677,10 +679,7 @@ class PalindromicTree:
         word.extend(symbols)
         for pos in range(start, len(word)):
             symbol = word[pos]
-            while True:
-                i = pos - length[node] - 1
-                if i >= 0 and word[i] == symbol:
-                    break
+            while word[pos - length[node] - 1] != symbol:
                 node = link[node]
             to = child1 if symbol else child0
             found = to[node]
@@ -690,10 +689,7 @@ class PalindromicTree:
                     suffix = 1
                 else:
                     suffix = link[node]
-                    while True:
-                        i = pos - length[suffix] - 1
-                        if i >= 0 and word[i] == symbol:
-                            break
+                    while word[pos - length[suffix] - 1] != symbol:
                         suffix = link[suffix]
                     suffix = to[suffix]
                 length.append(length[node] + 2)
@@ -702,6 +698,8 @@ class PalindromicTree:
                 child1.append(0)
                 to[node] = found
             node = found
+            if ends is not None:
+                ends.append(node)
         self._last = node
 
     def add(self, symbol: int) -> bool:

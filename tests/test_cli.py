@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import pytest
 import sturmian
 from sturmian import cli, palindromes
 from sturmian.ostrowski import _ValidDigitDag
+from sturmian.words import DirectiveSequence, characteristic_prefix
 
 BASE = [sys.executable, "-m", "sturmian"]
 # the child runs the package the tests import, installed or not
@@ -147,6 +149,23 @@ class TestPal:
     def test_length_word(self):
         r = run_cli("pal", "length", "--word", "abaabb")
         assert (r.returncode, r.stdout) == (0, "3\n")
+
+    def test_length_long_unbalanced_words(self):
+        # all but a^k b a^k hold both aa and bb, so they go to the
+        # general pass; Linux caps one argument at 131,071 symbols
+        fib = characteristic_prefix(
+            DirectiveSequence.parse("fib"), 131_068
+        ).to_string("ab")
+        rng = random.Random(20261021)
+        cases = [
+            ("aababb" * 21845, "43690"),
+            ("a" * 65535 + "b" + "a" * 65535, "1"),
+            (fib + "bbb", "7"),
+            ("".join(rng.choice("ab") for _ in range(131_071)), "19915"),
+        ]
+        for word, expected in cases:
+            r = run_cli("pal", "length", "--word", word)
+            assert (r.returncode, r.stdout, r.stderr) == (0, expected + "\n", "")
 
     def test_length_prefix(self):
         r = run_cli("pal", "length", "--d", "fib", "--length", "10")
@@ -521,6 +540,25 @@ class TestErrorsAndCaps:
         r = run_cli("count", "sturmian", "--n", "100000000", preexec_fn=limit)
         assert (r.returncode, r.stdout) == (1, "")
         assert r.stderr == "error: out of memory\n"
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's"
+    )
+    def test_longest_word_fits_in_200_mb(self):
+        # the longest --word Linux passes, with one palindrome per
+        # symbol: the balanced pass takes the first word, the general
+        # pass the second, which holds both aa and bb
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+        for word in (
+            "a" * 65535 + "b" + "a" * 65535,
+            "a" * 65534 + "bb" + "a" * 65534,
+        ):
+            r = run_cli("pal", "length", "--word", word, preexec_fn=limit)
+            assert (r.returncode, r.stdout, r.stderr) == (0, "1\n", "")
 
     def test_bad_env_cap(self):
         r = run_cli(

@@ -904,6 +904,23 @@ def suffix_link_pal_lengths(raw):
     return dp
 
 
+def traced_peak(function, raw):
+    """Peak bytes that tracemalloc sees function(raw) allocate, after a
+    warm-up call on a short prefix."""
+    function(raw[:100])
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        function(raw)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def check_pal_lengths(raw):
     """The one-pass DP row equals the oracle's, and consecutive values
     differ by at most 1 (PL(w) <= PL(wa) + 1, which the exit uses)."""
@@ -947,28 +964,26 @@ class TestPalLengthRows:
         ["fib", "2,(2)", "1,1,1,1,8,(1)", "0,2,(1,3)", "200,(1)", "1,(50)"],
     )
     def test_characteristic_prefixes(self, text):
-        # the last two have long suffix chains, which the bound cuts
+        # the last two have long suffix chains, which the bound cuts;
+        # _pal_lengths sends these balanced words to the balanced pass
+        # only, so the general pass is checked on them here
         d = DirectiveSequence.parse(text)
-        check_pal_lengths(characteristic_prefix(d, 5000).raw)
+        raw = characteristic_prefix(d, 5000).raw
+        check_pal_lengths(raw)
+        assert _general_pal_lengths(raw) == _pal_lengths(raw)
 
     def test_memory_per_symbol(self):
         # the balanced pass, keyed by length and centre with its dp row
-        # in bytes: about 20 bytes per symbol on Python 3.10-3.13, against
-        # 77-81 for the general pass with its shared int pool
+        # in bytes: about 20 bytes per symbol on Python 3.10-3.13
         raw = characteristic_prefix(FIB, 50_000).raw
-        _pal_lengths(raw[:100])
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            _pal_lengths(raw)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= 24 * len(raw)
+        assert traced_peak(_pal_lengths, raw) <= 24 * len(raw)
+
+    def test_general_pass_memory_per_symbol(self):
+        # the general pass on PalindromicTree: one node per symbol here,
+        # each with an id and a length of its own, about 113 bytes per
+        # symbol on Python 3.11
+        raw = b"\x00" * 65535 + b"\x01" + b"\x00" * 65535
+        assert traced_peak(_general_pal_lengths, raw) <= 120 * len(raw)
 
     def test_words_with_00_and_11_skip_the_balanced_pass(self, monkeypatch):
         # the windows 00 and 11 hold 0 and 2 ones, so such a word is
@@ -1054,15 +1069,15 @@ class TestBalancedRowPromotion:
         assert refused == [most + 1, most + 1]
 
 
-def walk_steps(raw):
-    """The suffixes the balanced pass's walk reads after the longest
-    one, counted by tracing the one line that reads such a suffix's
-    dp."""
-    lines, first = inspect.getsourcelines(_balanced_pal_lengths)
+def walk_steps(function, raw):
+    """The suffixes the walk of function, one of the two passes, reads
+    after the longest one, counted by tracing the one line that reads
+    such a suffix's dp."""
+    lines, first = inspect.getsourcelines(function)
     (target,) = [
         first + j
         for j, text in enumerate(lines)
-        if text.strip() == "value = dp[k - suffix]"
+        if text.strip().startswith("value = dp[")
     ]
     steps = 0
 
@@ -1073,12 +1088,11 @@ def walk_steps(raw):
         return local
 
     def calls(frame, event, arg):
-        code = _balanced_pal_lengths.__code__
-        return local if frame.f_code is code else None
+        return local if frame.f_code is function.__code__ else None
 
     sys.settrace(calls)
     try:
-        _balanced_pal_lengths(raw)
+        function(raw)
     finally:
         sys.settrace(None)
     return steps
@@ -1098,7 +1112,16 @@ class TestPalLengthWalk:
         # only the walk's update of the bound is off by one.
         d = DirectiveSequence.parse(text)
         raw = characteristic_prefix(d, 5000).raw
-        assert walk_steps(raw) <= most * len(raw)
+        assert walk_steps(_balanced_pal_lengths, raw) <= most * len(raw)
+
+    def test_general_pass_steps(self):
+        # 0^j has j palindromic suffixes, so the chains are long; the
+        # general pass's walk reads 0.00 suffixes per symbol here, 499.6
+        # without the stop at the last position below the minimum, with
+        # or without the floor, and 999.8 without both bounds and the
+        # exit at s = 0
+        raw = b"\x00" * 2000 + b"\x01" + b"\x00" * 2000
+        assert walk_steps(_general_pal_lengths, raw) <= len(raw)
 
 
 class TestPalLength:
