@@ -47,7 +47,7 @@ from .ostrowski import (
 from .palindromes import (
     DEFAULT_PROFILE_CAP,
     _check_profile_length,
-    _witness_tuples,
+    _witness_lines,
     central_word,
     construct_hard_prefix,
     distinct_palindromic_factors,
@@ -371,52 +371,32 @@ def _cmd_verify_tpr(args) -> int:
     pmax = _positive(args.pmax, "--pmax")
     if pmax > cap:
         raise CapExceededError(f"--pmax is capped at {cap}, got {pmax}")
-    records = _witness_tuples(d, pmax)  # refuses before any output
     fmt = args.format
-    as_csv = fmt == "csv"
-    # text and csv write their lines 4096 at a time; json, whose sorted
-    # keys put the counts before the records, keeps them all
-    stream = fmt != "json"
-    if as_csv:
-        print("p1,p2,rep_p1,m,y_m,rep_p2,fallback_used,status")
-    lines = []
-    occurrences = fallbacks = failures = 0
-    # Each record is one f-string per format; a text line is the json
-    # object, which is what json.dumps(record, sort_keys=True) writes.
-    # The renderings hold only digits and dots, so nothing needs escaping.
-    for p1, p2, rep_p1, m, y, rep_p2, fallback in records:
-        occurrences += 1
-        if rep_p1 is None:
-            failures += 1
-            lines.append(f"{p1},{p2},,-1,-1,,false,FAIL" if as_csv else
-                         f'{{"p1": {p1}, "p2": {p2}, "status": "FAIL"}}')
-        else:
-            fallbacks += fallback
-            flag = "true" if fallback else "false"
-            lines.append(
-                f"{p1},{p2},{rep_p1},{m},{y},{rep_p2},{flag},ok" if as_csv else
-                f'{{"fallback_used": {flag}, "m": {m}, "p1": {p1}, '
-                f'"p2": {p2}, "rep_p1": "{rep_p1}", "rep_p2": "{rep_p2}", '
-                f'"y_m": {y}}}')
-        if stream and len(lines) == 4096:
-            sys.stdout.write("\n".join(lines))
-            sys.stdout.write("\n")
-            lines.clear()
-    passed = failures == 0
+    chunks, tally = _witness_lines(d, pmax, fmt == "csv")  # or refuses
+    write = sys.stdout.write
     if fmt == "json":
-        print(f'{{"fallbacks": {fallbacks}, "occurrences": {occurrences}, '
-              f'"pass": {"true" if passed else "false"}, '
-              f'"records": [{", ".join(lines)}], '
-              f'"schema": 1, "verify": "tpr"}}')
+        # the counts lead in sorted-key order, so the chunks, each joined
+        # as it comes, wait for the last record
+        joined = [", ".join(lines) for lines in chunks]
+        occurrences, fallbacks, failures = tally
+        write(f'{{"fallbacks": {fallbacks}, "occurrences": {occurrences}, '
+              f'"pass": {"false" if failures else "true"}, "records": [')
+        for i, chunk in enumerate(joined):
+            write(", " + chunk if i else chunk)
+        write('], "schema": 1, "verify": "tpr"}\n')
     else:
-        if lines:
-            sys.stdout.write("\n".join(lines))
-            sys.stdout.write("\n")
+        if fmt == "csv":
+            write("p1,p2,rep_p1,m,y_m,rep_p2,fallback_used,status\n")
+        for lines in chunks:
+            write("\n".join(lines))
+            write("\n")
+            lines.clear()  # frees its lines before the next chunk is made
+        occurrences, fallbacks, failures = tally
         if fmt == "text":
-            print(f"occurrences={occurrences} fallbacks={fallbacks} "
-                  f"failures={failures}")
-        print("pass" if passed else "fail")
-    return 0 if passed else 2
+            write(f"occurrences={occurrences} fallbacks={fallbacks} "
+                  f"failures={failures}\n")
+        write("fail\n" if failures else "pass\n")
+    return 2 if failures else 0
 
 
 # the cells of a scan that found no pair of representations

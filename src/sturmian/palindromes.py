@@ -36,6 +36,7 @@ general pass takes 53-113 bytes per symbol on 131,071-symbol words.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import accumulate
 from operator import mul, sub
@@ -49,6 +50,7 @@ from .ostrowski import (
     OstrowskiRep,
     _digit_string,
     _greedy_digits,
+    _greedy_digits_below,
     _render,
     enumerate_valid_reps,
     is_valid,
@@ -301,12 +303,12 @@ class _DigitTable(NamedTuple):
     wide_c: int
 
 
-def _digit_table(p1: int, qs, ds) -> _DigitTable:
-    """The table of p1; qs holds q_i for every level a pivot reads and
-    at least up to p1's top digit, and ds holds d_i below every pivot."""
-    xs = tuple(_greedy_digits(p1, qs))
+def _digit_table(xs: tuple[int, ...], qs, ds) -> _DigitTable:
+    """The table of p1 from its canonical digits xs; qs holds q_i for
+    every level a pivot reads and at least up to p1's top digit, and ds
+    holds d_i below every pivot."""
     sums = _prefix_sums(xs, qs)
-    sums += [p1] * (len(qs) + 1 - len(sums))
+    sums += sums[-1:] * (len(qs) + 1 - len(sums))
     comp = list(map(sub, ds, xs))
     comp += ds[len(comp) :]
     top = wide_x = len(xs) - 1
@@ -364,7 +366,7 @@ def occurrence_witness(occ: PalindromeOccurrence) -> OccurrenceWitness:
     m = _central_levels(d, length + 1).get(length)
     qs = [d.q(i) for i in range(max(_top_level(d, p1), m or 0) + 1)]
     ds = [d.digit(i) for i in range(m or 0)]
-    table = _digit_table(p1, qs, ds)
+    table = _digit_table(tuple(_greedy_digits(p1, qs)), qs, ds)
     xs, sums, comp = table.xs, table.sums, table.comp
     dsums = _prefix_sums(ds, qs)
     # the mirror at p decodes to (D_p - X_p) + y q_p + (p1 - X_{p+1}),
@@ -389,19 +391,23 @@ def occurrence_witnesses(d: DirectiveSequence, pmax: int):
     """Yield the record of every palindromic occurrence (p1..p2] with
     p2 <= pmax, ordered by p2, then p1: the witness's to_record(), or
     {"p1", "p2", "status": "FAIL"} where occurrence_witness would raise
-    TheoremViolationError.  See _witness_tuples."""
-    keys = ("p1", "p2", "rep_p1", "m", "y_m", "rep_p2", "fallback_used")
-    for rec in _witness_tuples(d, pmax):
-        if rec[2] is None:
-            yield {"p1": rec[0], "p2": rec[1], "status": "FAIL"}
-        else:
-            yield dict(zip(keys, rec))
+    TheoremViolationError.  Each is read back from its text line (see
+    _witness_lines), its keys put back in to_record()'s order."""
+    keys = ("p1", "p2", "rep_p1", "m", "y_m", "rep_p2", "fallback_used",
+            "status")
+    for lines in _witness_lines(d, pmax)[0]:
+        for record in map(json.loads, lines):
+            yield {key: record[key] for key in keys if key in record}
 
 
-def _witness_tuples(d: DirectiveSequence, pmax: int):
-    """An iterator over the records of occurrence_witnesses as tuples
-    (p1, p2, rep_p1, m, y_m, rep_p2, fallback_used), rep_p1 None (and
-    fallback_used False) for a FAIL.
+def _witness_lines(d: DirectiveSequence, pmax: int, as_csv: bool = False):
+    """The lines `verify tpr` prints for the records of
+    occurrence_witnesses, as (chunks, tally): chunks yields lists of
+    4096 lines (the last may hold fewer), and tally holds
+    [occurrences, fallbacks, failures] once chunks is spent.  A line is
+    the record's csv row, or json.dumps(record, sort_keys=True), which
+    is both the text line and the json array entry; renderings hold
+    only digits and dots, so nothing needs escaping.
 
     One Manacher pass ("A new linear-time on-line algorithm for finding
     the smallest initial palindrome of a string", J. ACM 1975) over the
@@ -413,21 +419,23 @@ def _witness_tuples(d: DirectiveSequence, pmax: int):
     first).  So the work is O(pmax + occurrences): the lengths of the
     central words below 2 pmax are tabled once (_central_levels), each
     centre reads its level there once, and what the witness rule reads
-    of p1 (its _DigitTable, renderings included) is built once per p1.
+    of p1 (its _DigitTable, renderings included) is built once per p1,
+    from canonical digits derived from a shorter start's
+    (_greedy_digits_below).
 
     Validity is read off the run table of the valid-digit DAG.  The
-    canonical vector x of p1 is walked once, when its table is built;
+    canonical vector x of p1 is walked once, before its table is built;
     a mirror keeps x's digits above its pivot, so it is walked only
     from its pivot down, straight from the table's complement digits,
     inline in the loop over the records.  Every record of a p1 whose x
     fails that walk is a FAIL.  A record then costs one division for
-    y, that walk, and the join of three strings: x's digits above the
-    pivot, y and the complement digits below it, cut from the table.  Only a mirror with a digit of 10 or
-    more is rendered digit by digit.  No digit list, OstrowskiRep or
-    OccurrenceWitness is built per record.  On a finite directive at
-    most the whole word is read; ValueError, before the iterator is
-    returned, if an occurrence's maximal extension reaches its end with
-    p1 > 0.
+    y, that walk, the join of three strings cut from the table (x's
+    digits above the pivot, y, the complement digits below it) and one
+    f-string.  Only a mirror with a digit of 10 or more is rendered
+    digit by digit.  Nothing else is built per record.  On a finite
+    directive at most the whole word is read; ValueError, before
+    anything is returned, if an occurrence's maximal extension reaches
+    its end with p1 > 0.
     """
     if pmax < 1:
         raise ValueError("the occurrence bound must be positive")
@@ -472,48 +480,52 @@ def _witness_tuples(d: DirectiveSequence, pmax: int):
     dag = _ValidDigitDag(d, pmax)
     qs = dag.qs
     ds = [d.digit(i) for i in range(len(qs) - 1)]
-    tables = []  # by p1 < pmax; None where x is not a path of the DAG
-    for p1 in range(pmax):
-        table = _digit_table(p1, qs, ds)
-        tables.append(table if dag.valid(table.xs) else None)
-    return _witness_stream(starts, level, tables, qs, _prefix_sums(ds, qs),
-                           dag.runs)
+    # by p1 < pmax; None where x is not a path of the DAG
+    tables = [_digit_table(xs, qs, ds) if dag.valid(xs) else None
+              for xs in _greedy_digits_below(pmax, qs)]
+    tally = [0, 0, 0]
+    chunks = _witness_stream(starts, level, tables, qs, _prefix_sums(ds, qs),
+                             dag.runs, as_csv, tally)
+    return chunks, tally
 
 
-def _witness_stream(starts, level, tables, qs, dsums, runs):
-    """The tuples of _witness_tuples, from its occurrences by p2 and
-    the level, tables and run table it built: the witness rule of
+def _witness_stream(starts, level, tables, qs, dsums, runs, as_csv, tally):
+    """The chunks of _witness_lines, from its occurrences by p2 and the
+    level, tables and run table it built: the witness rule of
     occurrence_witness, with each mirror walked off the run table from
     its pivot down in the loop itself."""
+    lines = []
+    fallbacks = failures = 0
     for p2, p1s in enumerate(starts):
         for p1 in p1s:
             table, m = tables[p1], level[p1 + p2]
-            if table is None or m is None:
-                yield p1, p2, None, None, None, None, False
-                continue
-            xs, sums, comp, rendered, top, high, low, wide_x, wide_c = table
-            for pivot in (m, m - 2):
-                if pivot < 0:
-                    break
-                # x's digits above the pivot end at pos
-                pos = p1 - sums[pivot + 1]
-                q = qs[pivot]
-                y, rem = divmod(p2 - dsums[pivot] + sums[pivot] - pos, q)
-                if rem or y < 0 or y > runs[pivot][pos]:
-                    continue
-                pos += y * q
-                for i in range(pivot - 1, -1, -1):
-                    k = comp[i]
-                    if k:
-                        if k > runs[i][pos]:
-                            break
-                        pos += k * qs[i]
-                else:  # every digit fits: the witness is at this pivot
-                    break
-            else:  # neither pivot
-                pivot = -1
+            pivot = -1
+            if table is not None and m is not None:
+                xs, sums, comp, rendered, top, high, low, wide_x, wide_c = table
+                for pivot in (m, m - 2):
+                    if pivot < 0:
+                        break
+                    # x's digits above the pivot end at pos
+                    pos = p1 - sums[pivot + 1]
+                    q = qs[pivot]
+                    y, rem = divmod(p2 - dsums[pivot] + sums[pivot] - pos, q)
+                    if rem or y < 0 or y > runs[pivot][pos]:
+                        continue
+                    pos += y * q
+                    for i in range(pivot - 1, -1, -1):
+                        k = comp[i]
+                        if k:
+                            if k > runs[i][pos]:
+                                break
+                            pos += k * qs[i]
+                    else:  # every digit fits: the witness is at this pivot
+                        break
+                else:  # neither pivot
+                    pivot = -1
             if pivot < 0:
-                yield p1, p2, None, None, None, None, False
+                failures += 1
+                lines.append(f"{p1},{p2},,-1,-1,,false,FAIL" if as_csv else
+                             f'{{"p1": {p1}, "p2": {p2}, "status": "FAIL"}}')
                 continue
             if y < 10 and wide_x <= pivot <= wide_c:
                 below = low[wide_c - pivot :]
@@ -523,7 +535,21 @@ def _witness_stream(starts, level, tables, qs, dsums, runs):
                     rep = (_DIGITS[y] + below).lstrip("0") or "0"
             else:
                 rep = _render((*comp[:pivot], y, *xs[pivot + 1 :]))
-            yield p1, p2, rendered, pivot, y, rep, pivot != m
+            fallbacks += pivot != m
+            flag = "false" if pivot == m else "true"
+            lines.append(
+                f"{p1},{p2},{rendered},{pivot},{y},{rep},{flag},ok" if as_csv
+                else f'{{"fallback_used": {flag}, "m": {pivot}, "p1": {p1}, '
+                f'"p2": {p2}, "rep_p1": "{rendered}", "rep_p2": "{rep}", '
+                f'"y_m": {y}}}')
+        while len(lines) >= 4096:  # chunks of one size reuse their memory
+            tally[0] += 4096
+            yield lines[:4096]
+            del lines[:4096]
+    tally[0] += len(lines)
+    tally[1:] = fallbacks, failures
+    if lines:
+        yield lines
 
 
 def z_vector(rep: OstrowskiRep) -> tuple[int, ...]:

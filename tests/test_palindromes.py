@@ -14,6 +14,8 @@ from sturmian import palindromes
 from sturmian.errors import CapExceededError
 from sturmian.ostrowski import (
     _ValidDigitDag,
+    _greedy_digits,
+    _greedy_digits_below,
     OstrowskiRep,
     decode,
     encode,
@@ -28,6 +30,7 @@ from sturmian.palindromes import (
     PalindromicTree,
     _balanced_pal_lengths,
     _central_levels,
+    _extension_reach,
     _general_pal_lengths,
     _pal_lengths,
     central_word,
@@ -573,7 +576,9 @@ def check_batch(d, pmax):
         suffixes += [(p2 - ell, p2) for ell in suffix_palindrome_lengths(tree)]
     assert got == suffixes
     for rec, occ in zip(records, occs):
-        assert rec == occurrence_witness(occ).to_record()
+        expected = occurrence_witness(occ).to_record()
+        # == ignores key order; the records keep to_record()'s
+        assert rec == expected and list(rec) == list(expected)
     return records
 
 
@@ -618,6 +623,22 @@ class TestBatch:
         rng = random.Random(20261018)
         for _ in range(20):
             check_batch(random_directive(rng), 100)
+
+    @pytest.mark.parametrize(
+        "text", ["fib", "0,2,(1,3)", "200,(1)", "1,(50)", "12,(1,11)",
+                 "1,1,1,1,1,1,1,1,1"]
+    )
+    def test_derived_digits_are_greedy(self, text):
+        # the canonical digits the batch builds its tables from, each
+        # derived from a shorter start's, for every p1 < 5000 (every p1
+        # below the whole word of the finite 1,1,1,1,1,1,1,1,1), over
+        # the levels of its run table; 0,2,(1,3) has q_0 = q_1 = 1
+        d = DirectiveSequence.parse(text)
+        n = _extension_reach(d, 5000)
+        qs = _ValidDigitDag(d, n).qs
+        assert (qs[:2] == [1, 1]) == (text == "0,2,(1,3)")
+        derived = _greedy_digits_below(n, qs)
+        assert derived == [tuple(_greedy_digits(p1, qs)) for p1 in range(n)]
 
     def test_matches_single_witness_finite(self):
         d = DirectiveSequence.parse("1,1,1,1,1,1,1,1,1")
@@ -719,6 +740,8 @@ class TestBatch:
         assert mine == [
             {"p1": p1, "p2": r["p2"], "status": "FAIL"} for r in mine
         ]
+        # == ignores key order
+        assert {tuple(r) for r in mine} == {("p1", "p2", "status")}
         for r in records:
             if "status" not in r:
                 for key in ("rep_p1", "rep_p2"):
