@@ -34,7 +34,6 @@ __all__ = [
     "encode",
     "decode",
     "is_legal",
-    "is_canonical",
     "is_valid",
     "digits_to_word",
     "enumerate_valid_reps",
@@ -160,23 +159,6 @@ def _greedy_digits(N: int, qs) -> list[int]:
     return out
 
 
-def _greedy_digits_below(n: int, qs) -> list[tuple[int, ...]]:
-    """_greedy_digits of every N < n (n >= 1), each from a shorter N's.
-    With k the top level (q_k <= N < q_{k+1}) and N = x_k q_k + r,
-    greedy extraction takes x_k at level k and then r's digits, all
-    below k since r < q_k: x(N) is x(r), then zeros up to level k, then
-    x_k."""
-    out = [()]
-    k = 0
-    for N in range(1, n):
-        while k + 1 < len(qs) and qs[k + 1] <= N:
-            k += 1
-        x_k, r = divmod(N, qs[k])
-        low = out[r]
-        out.append(low + (0,) * (k - len(low)) + (x_k,))
-    return out
-
-
 def decode(rep: OstrowskiRep) -> int:
     """sum of k_i * q_i over the stored digits."""
     return sum(k * rep.d.q(i) for i, k in enumerate(rep.digits))
@@ -189,17 +171,6 @@ def is_legal(rep: OstrowskiRep) -> bool:
             if k > rep.d.digit(i):
                 return False
         except IndexError:
-            return False
-    return True
-
-
-def is_canonical(rep: OstrowskiRep) -> bool:
-    """True iff legal and no digit below a maxed-out digit is nonzero."""
-    if not is_legal(rep):
-        return False
-    digs = rep.digits
-    for i in range(1, len(digs)):
-        if digs[i] == rep.d.digit(i) and digs[i - 1] != 0:
             return False
     return True
 

@@ -14,7 +14,9 @@ the same records for every occurrence up to a bound from one Manacher
 pass.  The batch applies the witness rule inline: it reads a per-p1
 table of digits, prefix sums and digit strings, and walks each mirror
 off the valid-digit DAG's run table in its own loop (see
-_witness_stream).
+_witness_stream).  One step derives each table from a shorter start's
+(_table_step): the batch takes it once per p1, in increasing order,
+and occurrence_witness folds it over p1's nonzero digits.
 
 pal_length, pal_length_profile and `verify hard-prefix` share one
 palindromic-length DP, _pal_lengths: a walk down the suffix links of
@@ -39,8 +41,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from itertools import accumulate
-from operator import mul, sub
-from typing import NamedTuple
+from operator import mul
 
 from ._record import _Record, _setfield
 from .errors import CapExceededError, TheoremViolationError
@@ -48,9 +49,7 @@ from .ostrowski import (
     DEFAULT_ENUM_CAP,
     _ValidDigitDag,
     OstrowskiRep,
-    _digit_string,
     _greedy_digits,
-    _greedy_digits_below,
     _render,
     enumerate_valid_reps,
     is_valid,
@@ -276,52 +275,76 @@ class OccurrenceWitness(_Record):
         }
 
 
-class _DigitTable(NamedTuple):
-    """What the witness rule and the batch read of p1, built once per
-    p1: its canonical digits xs (least significant first), the prefix
-    sums sums[p] = sum_{i<p} x_i q_i (p1 from len(xs) on), the
-    complement digits comp[i] = d_i - x_i, xs rendered, and x's top
-    level top = len(xs) - 1.
+def _table_step(qs, ds):
+    """(the digit table of 0, step), where step(table(r), k, x_k) is the
+    table of N = x_k q_k + r for r < q_k, cut from r's.
 
-    The rest is what a mirror's rendering is cut from.  wide_x is the
-    level of x's highest digit of 10 or more (-1 if none is) and high
-    x's digits above it; wide_c is the level of the lowest complement
-    digit of 10 or more (len(comp) if none is) and low the complement
-    digits below it; both strings are most significant first.  So at a
-    pivot p with wide_x <= p <= wide_c and y < 10, the mirror renders as
+    The table of N is what the witness rule and the batch read of a
+    start N: the tuple (xs, sums, comp, rendered, top, high, low,
+    wide_x, wide_c).  xs are N's canonical digits (least significant
+    first), sums[p] = sum_{i<p} x_i q_i (N from len(xs) on), comp[i] =
+    d_i - x_i, rendered is xs rendered and top = len(xs) - 1.  The rest
+    is what a mirror's rendering is cut from.  wide_x is the level of
+    x's highest digit of 10 or more (-1 if none is) and high x's digits
+    above it; wide_c is the level of the lowest complement digit of 10
+    or more (len(comp) if none is) and low the complement digits below
+    it; both strings are most significant first.  So at a pivot p with
+    wide_x <= p <= wide_c and y < 10, the mirror renders as
     high[:top - p], then y, then low[wide_c - p:] (see _witness_stream).
+
+    x(N) is x(r), then zeros up to level k, then x_k, so N's sums and
+    complement digits are r's below k; high gains x_k and the zeros on
+    top, and low is r's cut at k under d_k - x_k and d's digits up to
+    its next digit of 10 or more above k.  Only xs with a digit of 10
+    or more is rendered digit by digit.  qs holds q_i for every level a
+    pivot reads and at least up to N's top level, ds d_i below every
+    pivot.
     """
+    # wide[j]: d's lowest level from j on with a digit of 10 or more
+    # (len(ds) if none is), and d's digits from j up to it, msb first
+    wide = [(len(ds), "")] * (len(ds) + 1)
+    for j in range(len(ds) - 1, -1, -1):
+        w, up = wide[j + 1]
+        wide[j] = (w, up + _DIGITS[ds[j]]) if ds[j] < 10 else (j, "")
+    levels = len(qs)
 
-    xs: tuple[int, ...]
-    sums: list[int]
-    comp: list[int]
-    rendered: str
-    top: int
-    high: str
-    low: str
-    wide_x: int
-    wide_c: int
+    def step(table, k, x):
+        xs, sums, comp, _, _, high, low, wide_x, wide_c = table
+        zeros = k - len(xs)
+        xs += (0,) * zeros + (x,)
+        sums = sums[: k + 1] + [sums[-1] + x * qs[k]] * (levels - k)
+        if x < 10:
+            high = _DIGITS[x] + "0" * zeros + high
+        else:
+            high, wide_x = "", k
+        if k < len(ds):
+            c = ds[k] - x
+            if wide_c >= k:  # r's complement digits below k are narrow
+                cut = low[wide_c - k :]
+                if c < 10:
+                    wide_c, up = wide[k + 1]
+                    low = up + _DIGITS[c] + cut
+                else:
+                    wide_c, low = k, cut
+            comp = comp[:]  # r's, which is d's from k up
+            comp[k] = c
+        rendered = high if wide_x < 0 else _render(xs)
+        return xs, sums, comp, rendered, k, high, low, wide_x, wide_c
+
+    wide_c, low = wide[0]
+    return ((), [0] * (levels + 1), ds[:], "0", -1, "", low, -1, wide_c), step
 
 
-def _digit_table(xs: tuple[int, ...], qs, ds) -> _DigitTable:
-    """The table of p1 from its canonical digits xs; qs holds q_i for
-    every level a pivot reads and at least up to p1's top digit, and ds
-    holds d_i below every pivot."""
-    sums = _prefix_sums(xs, qs)
-    sums += sums[-1:] * (len(qs) + 1 - len(sums))
-    comp = list(map(sub, ds, xs))
-    comp += ds[len(comp) :]
-    top = wide_x = len(xs) - 1
-    while wide_x >= 0 and xs[wide_x] < 10:
-        wide_x -= 1
-    wide_c = 0
-    while wide_c < len(comp) and comp[wide_c] < 10:
-        wide_c += 1
-    high = _digit_string(xs[wide_x + 1 :][::-1])
-    low = _digit_string(comp[:wide_c][::-1])
-    rendered = (high or "0") if wide_x < 0 else _render(xs)
-    return _DigitTable(xs, sums, comp, rendered, top, high, low, wide_x,
-                       wide_c)
+def _digit_tables(n: int, qs, ds) -> list[tuple]:
+    """The digit table of every N < n (n >= 1), each one step from
+    r = N - x_k q_k's, with k the top level (q_k <= N < q_{k+1})."""
+    table, step = _table_step(qs, ds)
+    tables = [table]
+    for k, (q, end) in enumerate(zip(qs, qs[1:] + [n])):
+        for N in range(q, min(end, n)):
+            x, r = divmod(N, q)
+            tables.append(step(tables[r], k, x))
+    return tables
 
 
 def _prefix_sums(digits, qs) -> list[int]:
@@ -366,8 +389,11 @@ def occurrence_witness(occ: PalindromeOccurrence) -> OccurrenceWitness:
     m = _central_levels(d, length + 1).get(length)
     qs = [d.q(i) for i in range(max(_top_level(d, p1), m or 0) + 1)]
     ds = [d.digit(i) for i in range(m or 0)]
-    table = _digit_table(tuple(_greedy_digits(p1, qs)), qs, ds)
-    xs, sums, comp = table.xs, table.sums, table.comp
+    table, step = _table_step(qs, ds)
+    for k, x in enumerate(_greedy_digits(p1, qs)):
+        if x:
+            table = step(table, k, x)
+    xs, sums, comp = table[:3]
     dsums = _prefix_sums(ds, qs)
     # the mirror at p decodes to (D_p - X_p) + y q_p + (p1 - X_{p+1}),
     # D_p = dsums[p] and X_p = sums[p]: y costs one division
@@ -419,18 +445,19 @@ def _witness_lines(d: DirectiveSequence, pmax: int, as_csv: bool = False):
     first).  So the work is O(pmax + occurrences): the lengths of the
     central words below 2 pmax are tabled once (_central_levels), each
     centre reads its level there once, and what the witness rule reads
-    of p1 (its _DigitTable, renderings included) is built once per p1,
-    from canonical digits derived from a shorter start's
-    (_greedy_digits_below).
+    of p1 (its digit table, renderings included) is built once per p1,
+    in one step from the table of the shorter start p1 - x_k q_k
+    (_digit_tables), which yields p1's canonical digits too.
 
     Validity is read off the run table of the valid-digit DAG.  The
-    canonical vector x of p1 is walked once, before its table is built;
-    a mirror keeps x's digits above its pivot, so it is walked only
-    from its pivot down, straight from the table's complement digits,
-    inline in the loop over the records.  Every record of a p1 whose x
-    fails that walk is a FAIL.  A record then costs one division for
-    y, that walk, the join of three strings cut from the table (x's
-    digits above the pivot, y, the complement digits below it) and one
+    canonical vector x of p1 is walked once, after every table is
+    built, since a later start's table may derive from p1's; a mirror
+    keeps x's digits above its pivot, so it is walked only from its
+    pivot down, straight from the table's complement digits, inline in
+    the loop over the records.  Every record of a p1 whose x fails
+    that walk is a FAIL.  A record then costs one division for y, that
+    walk, the join of three strings cut from the table (x's digits
+    above the pivot, y, the complement digits below it) and one
     f-string.  Only a mirror with a digit of 10 or more is rendered
     digit by digit.  Nothing else is built per record.  On a finite
     directive at most the whole word is read; ValueError, before
@@ -481,8 +508,8 @@ def _witness_lines(d: DirectiveSequence, pmax: int, as_csv: bool = False):
     qs = dag.qs
     ds = [d.digit(i) for i in range(len(qs) - 1)]
     # by p1 < pmax; None where x is not a path of the DAG
-    tables = [_digit_table(xs, qs, ds) if dag.valid(xs) else None
-              for xs in _greedy_digits_below(pmax, qs)]
+    tables = [table if dag.valid(table[0]) else None
+              for table in _digit_tables(pmax, qs, ds)]
     tally = [0, 0, 0]
     chunks = _witness_stream(starts, level, tables, qs, _prefix_sums(ds, qs),
                              dag.runs, as_csv, tally)

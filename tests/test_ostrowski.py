@@ -13,7 +13,6 @@ from sturmian.ostrowski import (
     encode,
     enumerate_legal_reps,
     enumerate_valid_reps,
-    is_canonical,
     is_legal,
     is_valid,
     rep_sort_key,
@@ -31,6 +30,18 @@ FIB = DirectiveSequence.parse("fib")
 D2 = DirectiveSequence.parse("2,(2)")
 D8 = DirectiveSequence.parse("1,1,1,1,8,(1)")
 D14 = DirectiveSequence.parse("14,14,14,(1)")
+
+
+def is_canonical(rep):
+    """True iff legal and no digit below a maxed-out digit is nonzero:
+    the greedy digits, unique per N."""
+    if not is_legal(rep):
+        return False
+    digs = rep.digits
+    for i in range(1, len(digs)):
+        if digs[i] == rep.d.digit(i) and digs[i - 1] != 0:
+            return False
+    return True
 
 
 def literal_valid_reps(N, d):

@@ -14,8 +14,9 @@ from sturmian import palindromes
 from sturmian.errors import CapExceededError
 from sturmian.ostrowski import (
     _ValidDigitDag,
+    _digit_string,
     _greedy_digits,
-    _greedy_digits_below,
+    _render,
     OstrowskiRep,
     decode,
     encode,
@@ -30,9 +31,11 @@ from sturmian.palindromes import (
     PalindromicTree,
     _balanced_pal_lengths,
     _central_levels,
+    _digit_tables,
     _extension_reach,
     _general_pal_lengths,
     _pal_lengths,
+    _prefix_sums,
     central_word,
     construct_hard_prefix,
     distinct_palindromic_factors,
@@ -58,6 +61,7 @@ from sturmian.words import (
     balance_witness,
     characteristic_prefix,
 )
+from test_ostrowski import is_canonical
 
 FIB = DirectiveSequence.parse("fib")
 D2 = DirectiveSequence.parse("2,(2)")
@@ -559,6 +563,25 @@ class TestWitness:
                 assert diffs <= 1
 
 
+def digit_table(xs, qs, ds):
+    """The digit table of p1 (see palindromes._table_step) from its
+    canonical digits xs alone, each field computed from xs."""
+    sums = _prefix_sums(xs, qs)
+    sums += sums[-1:] * (len(qs) + 1 - len(sums))
+    comp = [di - x for di, x in zip(ds, xs)]
+    comp += ds[len(comp) :]
+    top = wide_x = len(xs) - 1
+    while wide_x >= 0 and xs[wide_x] < 10:
+        wide_x -= 1
+    wide_c = 0
+    while wide_c < len(comp) and comp[wide_c] < 10:
+        wide_c += 1
+    high = _digit_string(xs[wide_x + 1 :][::-1])
+    low = _digit_string(comp[:wide_c][::-1])
+    rendered = (high or "0") if wide_x < 0 else _render(xs)
+    return xs, sums, comp, rendered, top, high, low, wide_x, wide_c
+
+
 def check_batch(d, pmax):
     """The batch lists the brute occurrences in (p2, p1) order, each
     with occurrence_witness's record; returns the records.  Its pairs
@@ -628,17 +651,46 @@ class TestBatch:
         "text", ["fib", "0,2,(1,3)", "200,(1)", "1,(50)", "12,(1,11)",
                  "1,1,1,1,1,1,1,1,1"]
     )
-    def test_derived_digits_are_greedy(self, text):
-        # the canonical digits the batch builds its tables from, each
-        # derived from a shorter start's, for every p1 < 5000 (every p1
-        # below the whole word of the finite 1,1,1,1,1,1,1,1,1), over
-        # the levels of its run table; 0,2,(1,3) has q_0 = q_1 = 1
+    def test_derived_tables_match_digits(self, text, monkeypatch):
+        # every digit table the batch derives from a shorter start's
+        # equals, in all nine fields, the table built from p1's greedy
+        # digits, for every p1 < 5000 (every p1 below the whole word of
+        # the finite 1,1,1,1,1,1,1,1,1), over the levels of its run
+        # table; 0,2,(1,3) has q_0 = q_1 = 1, and 200,(1), 1,(50) and
+        # 12,(1,11) have x and complement digits of 10 or more
         d = DirectiveSequence.parse(text)
         n = _extension_reach(d, 5000)
         qs = _ValidDigitDag(d, n).qs
         assert (qs[:2] == [1, 1]) == (text == "0,2,(1,3)")
-        derived = _greedy_digits_below(n, qs)
-        assert derived == [tuple(_greedy_digits(p1, qs)) for p1 in range(n)]
+        ds = [d.digit(i) for i in range(len(qs) - 1)]
+        derived = _digit_tables(n, qs, ds)
+        assert len(derived) == n
+        for p1, table in enumerate(derived):
+            xs = table[0]
+            assert xs == tuple(_greedy_digits(p1, qs))
+            assert is_canonical(OstrowskiRep(d, xs))
+            assert table == digit_table(xs, qs, ds), p1
+        # occurrence_witness folds the same step over p1's nonzero
+        # digits, lowest first, on its own levels (on the finite word,
+        # below the starts whose extension its end cuts)
+        step_of = palindromes._table_step
+        folded = []
+
+        def spy(qs, ds):
+            table, step = step_of(qs, ds)
+            folded.append((qs, ds, table))
+
+            def spied(table, k, x):
+                folded[-1] = (qs, ds, step(table, k, x))
+                return folded[-1][2]
+
+            return table, spied
+
+        monkeypatch.setattr(palindromes, "_table_step", spy)
+        for p1 in range(n // 2 if d.is_finite else n):
+            occurrence_witness(PalindromeOccurrence(d, p1, p1 + 1))
+            qs, ds, table = folded.pop()
+            assert table == digit_table(tuple(_greedy_digits(p1, qs)), qs, ds)
 
     def test_matches_single_witness_finite(self):
         d = DirectiveSequence.parse("1,1,1,1,1,1,1,1,1")
